@@ -15,9 +15,9 @@
     {!create} and reused for the life of the source.  See
     docs/STREAMING.md for the full contract.
 
-    The legacy whole-array entry points ([White.generate],
-    [Kasdin.generate_block], [Voss.generate]/[generate_blocks]) remain
-    as deprecated wrappers over the same underlying streams. *)
+    This is the only noise synthesizer the oscillator simulation uses:
+    whole-trace simulation ({!Ptrng_osc.Oscillator.periods}) is a fill
+    of a source too. *)
 
 type config
 (** Which process to synthesize, with its backend-specific tuning. *)
@@ -42,8 +42,8 @@ val kasdin :
 val flicker_fm :
   ?taps:int -> ?block:int -> hm1:float -> unit -> config
 (** {!kasdin} with [alpha = 1] calibrated so the one-sided
-    fractional-frequency PSD is [h_{-1}/f] (the [Kasdin.flicker_fm_block]
-    calibration, sampling-rate independent).
+    fractional-frequency PSD is [h_{-1}/f]: the driving variance is
+    [sigma_w^2 = pi h_{-1}], independent of the sampling rate.
     @raise Invalid_argument if [hm1 < 0]. *)
 
 val voss : ?octaves:int -> sigma:float -> unit -> config
@@ -69,9 +69,9 @@ type t
 
 val create : config -> Ptrng_prng.Rng.t -> t
 (** [create config rng] builds a source, consuming exactly one root
-    draw ([bits64]) from [rng] — the same generator advancement as the
-    batch entry points, so batch and streamed pipelines can share a
-    seeding discipline. *)
+    draw ([bits64]) from [rng] — the same generator advancement as
+    {!Spectral_synth.generate} and [Pool.parallel_init_floats], so batch
+    and streamed pipelines can share a seeding discipline. *)
 
 val fill : t -> Float.Array.t -> unit
 (** [fill t buf] overwrites all of [buf] with the next

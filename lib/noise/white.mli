@@ -2,18 +2,11 @@
 
     A discrete white sequence at sample rate [fs] with variance
     [sigma^2] has one-sided PSD [2 sigma^2 / fs]; these helpers do that
-    bookkeeping. *)
+    bookkeeping; samples come from a {!Source.white} stream of
+    deviation [sqrt (variance_of_level ~level ~fs)]. *)
 
 val variance_of_level : level:float -> fs:float -> float
 (** Sample variance giving one-sided PSD [level] at rate [fs]. *)
 
 val level_of_variance : variance:float -> fs:float -> float
 (** One-sided PSD level of a white sequence with [variance]. *)
-
-val generate : Ptrng_prng.Gaussian.t -> level:float -> fs:float -> int -> float array
-[@@deprecated "allocates the whole trace; use Source.fill with Source.white"]
-(** [generate g ~level ~fs n] draws [n] samples of white noise whose
-    one-sided PSD is [level]. @raise Invalid_argument for negative
-    [level] or non-positive [fs].
-    @deprecated Allocates the whole trace: stream through
-    {!Source.fill} with a {!Source.white} config instead. *)

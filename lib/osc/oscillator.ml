@@ -15,76 +15,6 @@ let config ?(flicker_generator = `Spectral) ?(rw_hm2 = 0.0) ~f0 ~phase () =
 let thermal_sigma cfg =
   sqrt (cfg.phase.Ptrng_noise.Psd_model.b_th /. (cfg.f0 ** 3.0))
 
-(* Flicker fractional-frequency samples at rate f0 with one-sided level
-   h_{-1} = 2 b_fl / f0^2, produced by the selected generator. *)
-let flicker_samples ?domains rng cfg n =
-  let hm1 = 2.0 *. cfg.phase.Ptrng_noise.Psd_model.b_fl /. (cfg.f0 *. cfg.f0) in
-  if hm1 = 0.0 then None
-  else
-    match cfg.flicker_generator with
-    | `None -> None
-    | `Spectral ->
-      let m = Ptrng_signal.Fft.next_pow2 n in
-      let model = { Ptrng_noise.Psd_model.h0 = 0.0; hm1; hm2 = 0.0 } in
-      let y =
-        Ptrng_noise.Spectral_synth.generate_frac_freq ?domains rng ~model ~fs:cfg.f0 m
-      in
-      Some (if m = n then y else Array.sub y 0 n)
-    | `Kasdin ->
-      Some (Ptrng_noise.Kasdin.flicker_fm_block ?domains rng ~hm1 ~fs:cfg.f0 n)
-    | `Voss ->
-      (* Per-source sigma inverts Voss.level_hm1 (= sigma^2 / ln 2);
-         octaves are chosen so the slowest source spans the block. *)
-      let sigma = sqrt (hm1 *. log 2.0) in
-      let octaves =
-        let rec count o span = if span >= n || o >= 40 then o else count (o + 1) (span * 2) in
-        count 1 1
-      in
-      let v = Ptrng_noise.Voss.create rng ~octaves in
-      (* The batch path intentionally keeps the deprecated whole-array
-         generator: it is the reference the streamed path is tested
-         against. *)
-      Some
-        (Array.map (fun s -> sigma *. s) (Ptrng_noise.Voss.generate v n))
-      [@alert "-deprecated"]
-
-let periods ?domains rng cfg ~n =
-  if n <= 0 then invalid_arg "Oscillator.periods: n <= 0";
-  let t0 = 1.0 /. cfg.f0 in
-  let sigma_th = thermal_sigma cfg in
-  let out =
-    if sigma_th > 0.0 then
-      (* Thermal jitter is white: chunked child streams, so the trace
-         is bit-identical for every domain count. *)
-      Ptrng_exec.Pool.parallel_init_floats ?domains ~rng
-        ~fill:(fun child ~offset ~len out ->
-          let g = Ptrng_prng.Gaussian.create child in
-          for k = offset to offset + len - 1 do
-            out.(k) <- t0 +. (sigma_th *. Ptrng_prng.Gaussian.draw g)
-          done)
-        n
-    else Array.make n t0
-  in
-  (match flicker_samples ?domains rng cfg n with
-  | None -> ()
-  | Some y ->
-    for k = 0 to n - 1 do
-      out.(k) <- out.(k) +. (t0 *. y.(k))
-    done);
-  if cfg.rw_hm2 > 0.0 then begin
-    (* Random-walk FM (aging): y integrates white steps whose variance
-       follows from the one-sided level, sigma_w^2 = 2 pi^2 h_{-2}/fs
-       (exact in the time domain, no circularity). *)
-    let g = Ptrng_prng.Gaussian.create rng in
-    let sigma_w = sqrt (2.0 *. Float.pi *. Float.pi *. cfg.rw_hm2 /. cfg.f0) in
-    let y = ref 0.0 in
-    for k = 0 to n - 1 do
-      y := !y +. (sigma_w *. Ptrng_prng.Gaussian.draw g);
-      out.(k) <- out.(k) +. (t0 *. !y)
-    done
-  end;
-  out
-
 (* ------------------------------------------------------------------ *)
 (* Streaming simulation                                                *)
 (* ------------------------------------------------------------------ *)
@@ -109,10 +39,9 @@ type source = {
 
 let default_flicker_block = 1 lsl 16
 
-(* Creation draws from [rng] in the batch path's order — thermal root,
-   then flicker root, then the random-walk sampler — so for [`Spectral]
-   (and [`None]) flicker a source replays {!periods} bit for bit when
-   [flicker_block] is [next_pow2 n] of the batch length. *)
+(* Creation draws from [rng] in a fixed order — thermal root, then
+   flicker root, then the random-walk sampler — which every seeded
+   trace depends on. *)
 let source ?(flicker_block = default_flicker_block) rng cfg =
   if flicker_block <= 0 then invalid_arg "Oscillator.source: flicker_block <= 0";
   let t0 = 1.0 /. cfg.f0 in
@@ -206,6 +135,26 @@ let fill_periods src ?len buf =
     ~len:(match len with Some l -> l | None -> FA.length buf)
     buf
 
+(* The whole trace is a fill of a source whose flicker block spans it,
+   so the flicker correlation reaches across all [n] periods.  Fills
+   are partition-invariant, so staging through one segment gives the
+   same trace as a single n-length fill without a second n-length
+   buffer. *)
+let periods rng cfg ~n =
+  if n <= 0 then invalid_arg "Oscillator.periods: n <= 0";
+  let src = source ~flicker_block:n rng cfg in
+  let out = Array.create_float n and buf = FA.create flicker_seg in
+  let off = ref 0 in
+  while !off < n do
+    let len = min flicker_seg (n - !off) in
+    fill_periods_n src ~len buf;
+    for j = 0 to len - 1 do
+      Array.unsafe_set out (!off + j) (FA.unsafe_get buf j)
+    done;
+    off := !off + len
+  done;
+  out
+
 (* The scenario path needs the two noise components separately — the
    schedule rescales them per sample before they are combined — so this
    writes the raw thermal jitter (seconds, baseline sigma included) and
@@ -246,8 +195,8 @@ let source_skip src n =
   src.s_pos <- src.s_pos + n
 
 let source_reset src =
-  (* The random-walk sampler draws from the creating generator itself
-     (batch parity), so its stream cannot be re-derived. *)
+  (* The random-walk sampler draws from the creating generator itself,
+     not from a root of its own, so its stream cannot be re-derived. *)
   if Option.is_some src.rw then
     invalid_arg "Oscillator.source_reset: random-walk FM sources cannot rewind";
   Option.iter Source.reset src.thermal;

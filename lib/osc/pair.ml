@@ -26,9 +26,14 @@ let paper_pair () = of_relative ~f0:paper_f0 ~relative:paper_relative ()
 let simulate ?domains rng pair ~n =
   let rng1 = Ptrng_prng.Rng.split rng in
   let rng2 = Ptrng_prng.Rng.split rng in
-  let p1 = Oscillator.periods ?domains rng1 pair.osc1 ~n in
-  let p2 = Oscillator.periods ?domains rng2 pair.osc2 ~n in
-  (p1, p2)
+  (* Each ring is one sequential source fill, so the rings themselves
+     are the only parallel tasks. *)
+  let traces =
+    Ptrng_exec.Pool.parallel_map ?domains
+      (fun (rng, cfg) -> Oscillator.periods rng cfg ~n)
+      [| (rng1, pair.osc1); (rng2, pair.osc2) |]
+  in
+  (traces.(0), traces.(1))
 
 module FA = Float.Array
 module Scenario = Ptrng_device.Scenario
@@ -54,7 +59,8 @@ type stream = {
 
 let stream ?flicker_block ?scenario rng pair =
   (* Same substream discipline as [simulate]: two splits, one per
-     oscillator, so a stream replays the batch traces bit for bit. *)
+     oscillator, so a stream with [flicker_block = n] replays
+     [simulate ~n] bit for bit. *)
   let rng1 = Ptrng_prng.Rng.split rng in
   let rng2 = Ptrng_prng.Rng.split rng in
   let scratch () =
@@ -151,12 +157,13 @@ let skip st n =
   Oscillator.source_skip st.s2 n;
   st.sc_pos <- st.sc_pos + n
 
+(* Both buffers are checked before either ring advances, so a bad
+   call leaves the pair in step. *)
 let fill st ~p1 ~p2 ~len =
+  if len < 0 || len > FA.length p1 || len > FA.length p2 then
+    invalid_arg "Pair.fill: bad len";
   match st.scen with
   | None ->
     Oscillator.fill_periods_n st.s1 ~len p1;
     Oscillator.fill_periods_n st.s2 ~len p2
-  | Some scen ->
-    if len < 0 || len > FA.length p1 || len > FA.length p2 then
-      invalid_arg "Pair.fill: bad len";
-    fill_scenario st scen ~p1 ~p2 ~len
+  | Some scen -> fill_scenario st scen ~p1 ~p2 ~len

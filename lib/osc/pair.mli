@@ -41,9 +41,10 @@ val paper_f0 : float
 val simulate :
   ?domains:int -> Ptrng_prng.Rng.t -> t -> n:int -> float array * float array
 (** [simulate rng pair ~n] returns [n] simulated periods of each
-    oscillator, drawn from independent substreams of [rng].  Each
-    oscillator's thermal and flicker synthesis runs over a
-    {!Ptrng_exec.Pool}; traces are bit-identical for every [?domains]. *)
+    oscillator, drawn from independent substreams of [rng]: one
+    {!Oscillator.periods} per ring, i.e. one whole-trace fill of its
+    {!Oscillator.source}.  [?domains] only decides whether the two
+    rings fill in parallel; traces are bit-identical for every value. *)
 
 type stream
 (** A streaming simulator of the pair, optionally driven by a
@@ -55,11 +56,11 @@ val stream :
   Ptrng_prng.Rng.t ->
   t ->
   stream
-(** [stream rng pair] is the streaming form of {!simulate}: the same
+(** [stream rng pair] is the chunk-wise form of {!simulate}: the same
     two generator splits, one {!Oscillator.source} per ring, so with
-    [`Spectral] flicker and [flicker_block = n] the chunk-wise fills
-    reproduce [simulate rng pair ~n] bit for bit while allocating
-    nothing per chunk.  See {!Oscillator.source} for [flicker_block].
+    [flicker_block = n] the fills reproduce [simulate rng pair ~n] bit
+    for bit while allocating nothing per chunk.  See
+    {!Oscillator.source} for [flicker_block].
 
     With [?scenario] the stream re-derives the per-sample noise
     scaling from the schedule: b_th, b_fl and f0 multipliers rescale
@@ -92,7 +93,9 @@ val skip : stream -> int -> unit
 
 val fill : stream -> p1:Float.Array.t -> p2:Float.Array.t -> len:int -> unit
 (** [fill st ~p1 ~p2 ~len] writes the next [len] periods of each
-    oscillator into the caller's buffers.
+    oscillator into the caller's buffers.  Both buffers are checked
+    before either ring advances, so a rejected call leaves the stream
+    where it was.
     @raise Invalid_argument if [len] exceeds either buffer, or under a
     scenario if a ring has random-walk FM (see
     {!Oscillator.fill_components}). *)

@@ -10,16 +10,18 @@ let ensemble ?domains rng cfg ~restarts ~n =
   in
   let transient =
     if cfg.Oscillator.phase.Ptrng_noise.Psd_model.b_fl > 0.0 then
-      Oscillator.periods ?domains (Ptrng_prng.Rng.split rng) flicker_cfg ~n
+      Oscillator.periods (Ptrng_prng.Rng.split rng) flicker_cfg ~n
     else Array.make n (1.0 /. cfg.Oscillator.f0)
   in
-  let sigma_th = Oscillator.thermal_sigma cfg in
-  (* Thermal jitter is fresh on every restart: one child stream per
-     restart, so the ensemble is independent of the domain count. *)
+  let white = Ptrng_noise.Source.white ~sigma:(Oscillator.thermal_sigma cfg) in
+  (* Thermal jitter is fresh on every restart: one white source per
+     restart on its own child stream, so the ensemble is independent of
+     the domain count. *)
   Ptrng_exec.Pool.parallel_map_streams ?domains ~rng
     (fun _ child ->
-      let g = Ptrng_prng.Gaussian.create child in
-      Array.init n (fun k -> transient.(k) +. (sigma_th *. Ptrng_prng.Gaussian.draw g)))
+      let g = Float.Array.create n in
+      Ptrng_noise.Source.fill (Ptrng_noise.Source.create white child) g;
+      Array.init n (fun k -> transient.(k) +. Float.Array.get g k))
     restarts
 
 let accumulated_variance runs ~n =

@@ -11,14 +11,6 @@ let fir_direct ~h x =
   done;
   y
 
-let fir_fft ~h x =
-  let n = Array.length x in
-  if n = 0 || Array.length h = 0 then Array.make n 0.0
-  else begin
-    let full = Fft.convolve_real h x in
-    Array.sub full 0 n
-  end
-
 let iir ~b ~a x =
   let na = Array.length a in
   if na = 0 || a.(0) = 0.0 then invalid_arg "Filter.iir: a.(0) must be non-zero";

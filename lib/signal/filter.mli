@@ -1,13 +1,9 @@
-(** Digital filtering: direct and FFT FIR convolution, IIR recursion,
-    biquad sections, and simple detrending. *)
+(** Digital filtering: direct FIR convolution, IIR recursion, biquad
+    sections, and simple detrending. *)
 
 val fir_direct : h:float array -> float array -> float array
 (** Causal FIR filtering: [y.(n) = sum_k h.(k) * x.(n-k)], output the
     same length as the input (zero initial conditions). *)
-
-val fir_fft : h:float array -> float array -> float array
-(** Same result as {!fir_direct}, computed via FFT convolution;
-    preferable when [|h|] is large. *)
 
 val iir : b:float array -> a:float array -> float array -> float array
 (** Direct-form IIR: [a.(0)*y.(n) = sum b.(k) x.(n-k) - sum_{k>=1} a.(k) y.(n-k)].

@@ -28,9 +28,16 @@ let paper_trng () = config (Ptrng_osc.Pair.paper_pair ())
 let generate_raw rng cfg ~bits =
   if bits <= 0 then invalid_arg "Ero_trng.generate_raw: bits <= 0";
   (* Simulate enough periods of both rings: [bits * divisor] Osc2
-     cycles, with margin for the frequency mismatch. *)
+     cycles, and enough Osc1 periods to span them.  The cycles/64
+     margin alone covers Osc1 running up to ~1.6% fast; a faster Osc1
+     needs cycles * f1/f2 periods plus a jitter margin. *)
   let cycles = (bits + 2) * cfg.divisor in
-  let n = cycles + (cycles / 64) + 16 in
+  let ratio = cfg.pair.osc1.f0 /. cfg.pair.osc2.f0 in
+  let n =
+    max
+      (cycles + (cycles / 64) + 16)
+      (int_of_float (Float.ceil (float_of_int cycles *. ratio)) + (cycles / 128) + 16)
+  in
   Tm.Counter.add periods_simulated_total (2 * n);
   let p1, p2 = Ptrng_osc.Pair.simulate rng cfg.pair ~n in
   let osc1_edges = Ptrng_osc.Oscillator.edges_of_periods p1 in

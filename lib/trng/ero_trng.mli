@@ -22,4 +22,6 @@ val generate : Ptrng_prng.Rng.t -> config -> bits:int -> Bitstream.t
     bits). @raise Invalid_argument if [bits <= 0]. *)
 
 val generate_raw : Ptrng_prng.Rng.t -> config -> bits:int -> Bitstream.t
-(** The raw binary sequence before post-processing. *)
+(** The raw binary sequence before post-processing, [bits] long: both
+    rings are simulated long enough for that many samples whichever
+    ring is faster. *)

@@ -280,6 +280,15 @@ let phase_chain_tests =
               (Entropy.avg_entropy ~phase_std:s)
               (Phase_chain.entropy_rate_given_state chain))
           [ 0.3; 0.7; 1.2; 2.0 ]);
+    Testkit.case "diffusion far below the bin width is a point mass" (fun () ->
+        (* Every bin centre is many sigmas from the drift, so the wrapped
+           Gaussian underflows; the chain must still be a distribution. *)
+        let width = 2.0 *. Float.pi /. 64.0 in
+        let chain =
+          Phase_chain.create ~bins:64 ~drift:(0.5 *. width) ~diffusion:1e-3 ()
+        in
+        let total = Array.fold_left ( +. ) 0.0 (Phase_chain.stationary chain) in
+        Testkit.check_true "sums to 1" (Float.abs (total -. 1.0) <= 1e-12));
     Testkit.case "zero diffusion with half-period drift is deterministic" (fun () ->
         let chain = Phase_chain.create ~drift:Float.pi ~diffusion:0.0 () in
         Testkit.check_abs ~tol:1e-9 "no entropy" 0.0

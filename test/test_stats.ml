@@ -267,7 +267,10 @@ let allan_tests =
         Testkit.check_rel ~tol:0.1 "estimators agree" a b);
     Testkit.case "flicker FM is flat at 2 ln2 h-1" (fun () ->
         let hm1 = 1e-6 and fs = 1.0 in
-        let y = Ptrng_noise.Kasdin.flicker_fm_block (Testkit.rng ()) ~hm1 ~fs (1 lsl 17) in
+        let y =
+          Testkit.source_samples (Ptrng_noise.Source.flicker_fm ~hm1 ()) (Testkit.rng ())
+            (1 lsl 17)
+        in
         let expected = Allan.avar_flicker_fm ~hm1 in
         List.iter
           (fun m ->

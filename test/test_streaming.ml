@@ -1,11 +1,11 @@
-(* Streamed-vs-batch equivalence for the Source API (PR 6).
+(* Streamed-vs-reference equivalence for the Source API.
 
    The contract under test: a Source stream is a pure function of its
    creation root — identical whatever chunk sizes the fills use, and
-   (for White/Voss/Spectral) identical to the legacy batch entry points
-   seeded the same way.  The batch generators are exercised on purpose,
-   so the deprecation alert is silenced for this file. *)
-[@@@ocaml.alert "-deprecated"]
+   identical (Kasdin: to rounding) to independent references seeded the
+   same way: the chunked parallel white fill, a Voss.next loop,
+   Spectral_synth.generate and a direct-form convolution.  Golden
+   digests pin the whole-trace simulation across refactors. *)
 
 open Ptrng_noise
 module FA = Float.Array
@@ -101,9 +101,7 @@ let voss_tests =
         let backend = Rng.backend rng in
         let root = Rng.bits64 rng in
         let v = Voss.create (Rng.child ~backend ~root ~index:0 ()) ~octaves in
-        let expected =
-          Array.map (fun s -> sigma *. s) (Voss.generate v 5000)
-        in
+        let expected = Array.init 5000 (fun _ -> sigma *. Voss.next v) in
         List.iter
           (fun size ->
             let out =
@@ -147,14 +145,15 @@ let spectral_tests =
 
 let kasdin_tests =
   [
-    Testkit.case "full-tap streamed filter == batch FFT filter" (fun () ->
+    Testkit.case "full-tap streamed filter == direct-form convolution" (fun () ->
         (* With taps >= n the truncated overlap-add convolution equals
-           the batch full-length convolution up to FFT rounding. *)
+           the full-length convolution of the same white input up to FFT
+           rounding; the oracle is the direct-form sum, no FFT. *)
         let n = 4096 in
         let alpha = 1.0 and sigma_w = 0.7 in
         let expected =
-          Kasdin.generate_block ~domains:1 (Testkit.rng ~seed:3L ()) ~alpha
-            ~sigma_w n
+          Ptrng_signal.Filter.fir_direct ~h:(Kasdin.coefficients ~alpha n)
+            (batch_white ~seed:3L ~sigma:sigma_w n)
         in
         List.iter
           (fun size ->
@@ -274,7 +273,7 @@ let oscillator_tests =
     Testkit.case "spectral source == periods, bit for bit" (fun () ->
         let n = 20000 in
         let cfg = paper_cfg `Spectral in
-        let expected = Osc.periods ~domains:1 (Testkit.rng ~seed:31L ()) cfg ~n in
+        let expected = Osc.periods (Testkit.rng ~seed:31L ()) cfg ~n in
         let src =
           Osc.source ~flicker_block:n (Testkit.rng ~seed:31L ()) cfg
         in
@@ -282,7 +281,7 @@ let oscillator_tests =
     Testkit.case "thermal-only source == periods, bit for bit" (fun () ->
         let n = 20000 in
         let cfg = paper_cfg `None in
-        let expected = Osc.periods ~domains:1 (Testkit.rng ~seed:32L ()) cfg ~n in
+        let expected = Osc.periods (Testkit.rng ~seed:32L ()) cfg ~n in
         let src = Osc.source (Testkit.rng ~seed:32L ()) cfg in
         check_fa_eq "periods" expected (fill_chunked src n));
     Testkit.case "random-walk source == periods, bit for bit" (fun () ->
@@ -291,7 +290,7 @@ let oscillator_tests =
           Osc.config ~flicker_generator:`Spectral ~rw_hm2:1e-22 ~f0:Pair.paper_f0
             ~phase:Pair.paper_relative ()
         in
-        let expected = Osc.periods ~domains:1 (Testkit.rng ~seed:33L ()) cfg ~n in
+        let expected = Osc.periods (Testkit.rng ~seed:33L ()) cfg ~n in
         let src =
           Osc.source ~flicker_block:n (Testkit.rng ~seed:33L ()) cfg
         in
@@ -299,7 +298,7 @@ let oscillator_tests =
     Testkit.case "source_skip lands on the same periods" (fun () ->
         let n = 16384 in
         let cfg = paper_cfg `Spectral in
-        let expected = Osc.periods ~domains:1 (Testkit.rng ~seed:34L ()) cfg ~n in
+        let expected = Osc.periods (Testkit.rng ~seed:34L ()) cfg ~n in
         let src =
           Osc.source ~flicker_block:n (Testkit.rng ~seed:34L ()) cfg
         in
@@ -348,6 +347,53 @@ let oscillator_tests =
         done;
         check_fa_eq "osc1" p1 b1;
         check_fa_eq "osc2" p2 b2);
+    Testkit.case "rejected Pair.fill leaves both rings in step" (fun () ->
+        (* A short p2 must be refused before osc1 advances: the position
+           stays put and the next valid fill continues the run. *)
+        let n = 3000 and head = 1000 in
+        let pair = Pair.paper_pair () in
+        let r1 = FA.create n and r2 = FA.create n in
+        Pair.fill (Pair.stream (Testkit.rng ~seed:37L ()) pair) ~p1:r1 ~p2:r2 ~len:n;
+        let st = Pair.stream (Testkit.rng ~seed:37L ()) pair in
+        let b1 = FA.create n and b2 = FA.create n in
+        Pair.fill st ~p1:b1 ~p2:b2 ~len:head;
+        Alcotest.check_raises "short p2" (Invalid_argument "Pair.fill: bad len")
+          (fun () -> Pair.fill st ~p1:(FA.create n) ~p2:(FA.create 10) ~len:(n - head));
+        Alcotest.(check int) "position unchanged" head (Pair.position st);
+        let c1 = FA.create (n - head) and c2 = FA.create (n - head) in
+        Pair.fill st ~p1:c1 ~p2:c2 ~len:(n - head);
+        FA.blit c1 0 b1 head (n - head);
+        FA.blit c2 0 b2 head (n - head);
+        check_fa_eq "osc1" (Array.init n (FA.get r1)) b1;
+        check_fa_eq "osc2" (Array.init n (FA.get r2)) b2);
+  ]
+
+(* Digests of seeded whole-trace outputs: any change to the synthesis
+   path that moves a single bit of a simulated trace or of the eRO-TRNG
+   bits fails here. *)
+let golden_tests =
+  let trng = Ptrng_trng.Ero_trng.paper_trng () in
+  let pair_digest n =
+    let p1, p2 = Pair.simulate (Rng.create ~seed:101L ()) trng.pair ~n in
+    let b = Buffer.create (2 * n * 24) in
+    Array.iter (fun x -> Buffer.add_string b (Printf.sprintf "%h" x)) p1;
+    Array.iter (fun x -> Buffer.add_string b (Printf.sprintf "%h" x)) p2;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  [
+    Testkit.case "Pair.simulate digests" (fun () ->
+        List.iter
+          (fun (n, expected) ->
+            Alcotest.(check string) (Printf.sprintf "n=%d" n) expected (pair_digest n))
+          [
+            (1000, "2dcb36bddaaddf05c3a83ea5863e234a");
+            (65537, "1d8e991afd7ac7b6ef92cbfc1de7a027");
+            (300000, "a815cc1a5bf7894b29af5ab40d3020ec");
+          ]);
+    Testkit.case "Ero_trng.generate digest" (fun () ->
+        let bits = Ptrng_trng.Ero_trng.generate (Rng.create ~seed:101L ()) trng ~bits:4096 in
+        Alcotest.(check string) "4096 bits" "9c8f1c58ebe2903245e523152c6a32d9"
+          (Digest.to_hex (Digest.bytes (Ptrng_trng.Bitstream.to_bytes bits))));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -469,13 +515,6 @@ let acc_tests =
 module Fit = Ptrng_measure.Fit
 module Allan = Ptrng_stats.Allan
 
-(* Stream [n] samples out of a kasdin-config source into a plain array. *)
-let fftpath_samples config ~seed n =
-  let src = Source.create config (Testkit.rng ~seed ()) in
-  let buf = FA.create n in
-  Source.fill src buf;
-  Array.init n (fun i -> FA.get buf i)
-
 let fftpath_tests =
   let f0 = 1e8 in
   (* Fit the paper's a N + b N^2 model to a synthetic white+flicker
@@ -501,9 +540,9 @@ let fftpath_tests =
         let n = 1 lsl 15 and taps = 2048 in
         let sigma_th = 1e-12 and sigma_w = 1e-12 in
         let fft_flicker =
-          fftpath_samples
+          Testkit.source_samples
             (Source.kasdin ~taps ~block:2048 ~alpha:1.0 ~sigma_w ())
-            ~seed:101L n
+            (Testkit.rng ~seed:101L ()) n
         in
         let st =
           Kasdin.stream_create
@@ -521,9 +560,9 @@ let fftpath_tests =
     Testkit.case "PSD slope of the streamed 1/f output is -1" (fun () ->
         let n = 1 lsl 16 in
         let x =
-          fftpath_samples
+          Testkit.source_samples
             (Source.kasdin ~taps:4096 ~block:4096 ~alpha:1.0 ~sigma_w:1.0 ())
-            ~seed:55L n
+            (Testkit.rng ~seed:55L ()) n
         in
         let s = Ptrng_signal.Psd.welch ~seg_len:4096 ~fs:1.0 x in
         let slope, se = Slope.log_log_slope s ~f_lo:(8.0 /. 4096.0) ~f_hi:0.05 in
@@ -535,9 +574,9 @@ let fftpath_tests =
            avar(tau) = 2 ln2 h_{-1}, independent of tau. *)
         let hm1 = 1.0 in
         let y =
-          fftpath_samples
+          Testkit.source_samples
             (Source.flicker_fm ~taps:8192 ~block:4096 ~hm1 ())
-            ~seed:77L (1 lsl 16)
+            (Testkit.rng ~seed:77L ()) (1 lsl 16)
         in
         let expected = Allan.avar_flicker_fm ~hm1 in
         List.iter
@@ -557,5 +596,6 @@ let () =
       ("kasdin", kasdin_tests);
       ("fft-path", fftpath_tests);
       ("oscillator", oscillator_tests);
+      ("golden", golden_tests);
       ("accumulators", acc_tests);
     ]

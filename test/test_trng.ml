@@ -128,6 +128,18 @@ let ero_trng_tests =
         let cfg = Ero_trng.config ~divisor:2000 (Ptrng_osc.Pair.paper_pair ()) in
         let s = Ero_trng.generate (Testkit.rng ()) cfg ~bits:2000 in
         Testkit.check_abs ~tol:0.08 "bias" 0.0 (Bitstream.bias s));
+    Testkit.case "a fast sampled ring still yields every requested bit" (fun () ->
+        List.iter
+          (fun detuning ->
+            let pair =
+              Ptrng_osc.Pair.of_relative ~detuning ~f0:Ptrng_osc.Pair.paper_f0
+                ~relative:Ptrng_osc.Pair.paper_relative ()
+            in
+            let cfg = Ero_trng.config ~divisor:100 pair in
+            let s = Ero_trng.generate_raw (Testkit.rng ()) cfg ~bits:1000 in
+            Alcotest.(check int) (Printf.sprintf "detuning %g" detuning) 1000
+              (Bitstream.length s))
+          [ 0.05; 0.2 ]);
     Testkit.case "rejects bad bit counts" (fun () ->
         let cfg = Ero_trng.paper_trng () in
         Alcotest.check_raises "bits" (Invalid_argument "Ero_trng.generate_raw: bits <= 0")

@@ -22,6 +22,13 @@ let check_false name cond = Alcotest.(check bool) name false cond
 
 let rng ?(seed = 0x5EEDL) () = Ptrng_prng.Rng.create ~seed ()
 
+(* [n] samples of a fresh noise source, as a plain array for the
+   spectral and Allan estimators. *)
+let source_samples config rng n =
+  let buf = Float.Array.create n in
+  Ptrng_noise.Source.fill (Ptrng_noise.Source.create config rng) buf;
+  Array.init n (Float.Array.get buf)
+
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 
