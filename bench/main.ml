@@ -690,7 +690,7 @@ let kernel_tests () =
   let rng = Ptrng_prng.Rng.create ~seed:1L () in
   let g = Ptrng_prng.Gaussian.create rng in
   let fft_n = 1 lsl 14 in
-  let fft_re = Array.init fft_n (fun _ -> Ptrng_prng.Gaussian.draw g) in
+  let fft_re = Float.Array.init fft_n (fun _ -> Ptrng_prng.Gaussian.draw g) in
   let white = Array.init (1 lsl 16) (fun _ -> Ptrng_prng.Gaussian.draw g) in
   let jitter = Array.map (fun v -> v *. 1e-12) white in
   let periods = Array.map (fun v -> 9.7e-9 +. (v *. 1e-12)) white in
@@ -709,7 +709,7 @@ let kernel_tests () =
       (Staged.stage (fun () -> ignore (Ptrng_prng.Gaussian.draw g)));
     Test.make ~name:"fft 16k (fwd+inv)"
       (Staged.stage (fun () ->
-           let re = Array.copy fft_re and im = Array.make fft_n 0.0 in
+           let re = Float.Array.copy fft_re and im = Float.Array.make fft_n 0.0 in
            Ptrng_signal.Fft.forward_pow2 ~re ~im;
            Ptrng_signal.Fft.inverse_pow2 ~re ~im));
     Test.make ~name:"flicker synth 64k"

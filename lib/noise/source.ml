@@ -15,9 +15,9 @@
    - Voss: the octave ladder is a sequential recurrence seeded from
      child stream 0 of the root.
    - Kasdin: the chunk-aligned white input stream is pushed through a
-     truncated-tap fractional-integration filter with the Fft
-     overlap-add engine — O(log m) per sample, O(m) memory, any stream
-     length.
+     truncated-tap fractional-integration filter with the
+     Ptrng_signal.Fft overlap-add engine — O(log m) per sample, O(m)
+     memory, any stream length.
    - Spectral: the stream is a sequence of fixed-size synthesized
      blocks; block b is rebuilt on demand from a salted per-block root,
      so random access (skip) costs at most one block synthesis. *)
@@ -25,6 +25,7 @@
 module Rng = Ptrng_prng.Rng
 module Gaussian = Ptrng_prng.Gaussian
 module FA = Float.Array
+module Fft = Ptrng_signal.Fft
 
 let samples_total =
   Ptrng_telemetry.Registry.Counter.v
@@ -139,7 +140,7 @@ type spectral_state = {
   s_psd : float -> float;
   s_fs : float;
   s_block : int;
-  mutable cur : float array;   (* synthesized block [block_index] *)
+  mutable cur : FA.t;          (* synthesized block [block_index] *)
   mutable block_index : int;   (* -1 = none yet *)
 }
 
@@ -202,7 +203,7 @@ let create config rng =
         }
     | CSpectral { psd; fs; block } ->
       ISpectral
-        { s_psd = psd; s_fs = fs; s_block = block; cur = [||]; block_index = -1 }
+        { s_psd = psd; s_fs = fs; s_block = block; cur = FA.create 0; block_index = -1 }
   in
   { config; backend; root; pos = 0; impl }
 
@@ -242,10 +243,7 @@ let fill_range t dst ~pos ~len =
       let b = !abs / st.s_block and off = !abs mod st.s_block in
       spectral_sync st ~backend:t.backend ~root:t.root b;
       let take = min !remaining (st.s_block - off) in
-      let cur = st.cur in
-      for j = 0 to take - 1 do
-        FA.unsafe_set dst (!i + j) (Array.unsafe_get cur (off + j))
-      done;
+      FA.blit st.cur off dst !i take;
       abs := !abs + take;
       i := !i + take;
       remaining := !remaining - take

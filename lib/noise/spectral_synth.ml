@@ -19,7 +19,7 @@ let generate_with_root ~domains ~backend ~root ~psd ~fs n =
     invalid_arg "Spectral_synth.generate: n must be a power of two";
   if fs <= 0.0 then invalid_arg "Spectral_synth.generate: fs <= 0";
   Ptrng_telemetry.Registry.Counter.add samples_total n;
-  let re = Array.make n 0.0 and im = Array.make n 0.0 in
+  let re = Float.Array.make n 0.0 and im = Float.Array.make n 0.0 in
   let half = n / 2 in
   (* E[|X_k|^2] = S(f_k) fs n / 2 for interior bins of an unscaled DFT. *)
   let nbins = half - 1 in
@@ -42,10 +42,10 @@ let generate_with_root ~domains ~backend ~root ~psd ~fs n =
           let j = 2 * (k - k_lo) in
           let a = amp *. Float.Array.unsafe_get draws j in
           let b = amp *. Float.Array.unsafe_get draws (j + 1) in
-          re.(k) <- a;
-          im.(k) <- b;
-          re.(n - k) <- a;
-          im.(n - k) <- -.b
+          Float.Array.set re k a;
+          Float.Array.set im k b;
+          Float.Array.set re (n - k) a;
+          Float.Array.set im (n - k) (-.b)
         done);
   (* Nyquist bin is real with the full expected power; its draw comes
      from a dedicated child stream beyond the interior chunk indices. *)
@@ -53,7 +53,8 @@ let generate_with_root ~domains ~backend ~root ~psd ~fs n =
     let child = Rng.child ~backend ~root ~index:(nchunks + 1) () in
     let g = Ptrng_prng.Gaussian.create child in
     let f = fs /. 2.0 in
-    re.(half) <- sqrt (psd f *. fs *. float_of_int n /. 2.0) *. Ptrng_prng.Gaussian.draw g
+    Float.Array.set re half
+      (sqrt (psd f *. fs *. float_of_int n /. 2.0) *. Ptrng_prng.Gaussian.draw g)
   end;
   (* inverse_pow2 applies the 1/n scaling, so a forward transform of the
      result returns exactly the spectrum built above. *)
@@ -63,7 +64,9 @@ let generate_with_root ~domains ~backend ~root ~psd ~fs n =
 let generate ?domains rng ~psd ~fs n =
   let root = Rng.bits64 rng in
   let backend = Rng.backend rng in
-  generate_with_root ~domains:(Pool.resolve ?domains ()) ~backend ~root ~psd ~fs n
+  Float.Array.map_to_array Fun.id
+    (generate_with_root ~domains:(Pool.resolve ?domains ()) ~backend ~root ~psd
+       ~fs n)
 
 let generate_frac_freq ?domains rng ~model ~fs n =
   let open Psd_model in

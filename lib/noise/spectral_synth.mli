@@ -36,7 +36,7 @@ val generate_with_root :
   psd:(float -> float) ->
   fs:float ->
   int ->
-  float array
+  Float.Array.t
 (** [generate_with_root ~domains ~backend ~root ~psd ~fs n] is
     {!generate} with the root draw supplied explicitly instead of taken
     from a live generator — the resynthesizable form used by {!Source}
@@ -44,9 +44,10 @@ val generate_with_root :
     [domains] is a required, already-resolved worker count (the
     streaming hot path passes [~domains:1]; an optional argument here
     would allocate a [Some] per block).  The output is bit-identical
-    for every [domains] value.  [generate rng] is exactly
+    for every [domains] value.  The block is returned as the unboxed
+    buffer the inverse FFT ran in; [generate rng] is exactly
     [generate_with_root ~domains:(Pool.resolve ()) ~backend:(backend
-    rng) ~root:(bits64 rng)].  @raise Invalid_argument as
+    rng) ~root:(bits64 rng)] copied into a [float array].  @raise Invalid_argument as
     {!generate}. *)
 
 val generate_frac_freq :

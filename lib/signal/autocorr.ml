@@ -7,17 +7,18 @@ let autocovariance ?max_lag x =
   (* Zero-padded FFT: |X|^2 back-transformed gives circular correlation;
      padding to >= 2n makes it the linear one. *)
   let m = Fft.next_pow2 (2 * n) in
-  let re = Array.make m 0.0 and im = Array.make m 0.0 in
+  let re = Float.Array.make m 0.0 and im = Float.Array.make m 0.0 in
   for i = 0 to n - 1 do
-    re.(i) <- x.(i) -. mean
+    Float.Array.set re i (x.(i) -. mean)
   done;
   Fft.forward_pow2 ~re ~im;
   for k = 0 to m - 1 do
-    re.(k) <- (re.(k) *. re.(k)) +. (im.(k) *. im.(k));
-    im.(k) <- 0.0
+    let r = Float.Array.get re k and j = Float.Array.get im k in
+    Float.Array.set re k ((r *. r) +. (j *. j));
+    Float.Array.set im k 0.0
   done;
   Fft.inverse_pow2 ~re ~im;
-  Array.init (max_lag + 1) (fun k -> re.(k) /. float_of_int n)
+  Array.init (max_lag + 1) (fun k -> Float.Array.get re k /. float_of_int n)
 
 let acf ?max_lag x =
   let c = autocovariance ?max_lag x in

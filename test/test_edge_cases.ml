@@ -5,20 +5,18 @@
 let signal_edges =
   [
     Testkit.case "fft of length 1 and 2" (fun () ->
-        let re = [| 3.5 |] and im = [| 0.0 |] in
+        let re = Float.Array.make 1 3.5 and im = Float.Array.make 1 0.0 in
         Ptrng_signal.Fft.forward_pow2 ~re ~im;
-        Testkit.check_rel ~tol:0.0 "n=1 identity" 3.5 re.(0);
-        let re = [| 1.0; 2.0 |] and im = [| 0.0; 0.0 |] in
+        Testkit.check_rel ~tol:0.0 "n=1 identity" 3.5 (Float.Array.get re 0);
+        let re = Float.Array.init 2 (fun i -> float_of_int (i + 1)) in
+        let im = Float.Array.make 2 0.0 in
         Ptrng_signal.Fft.forward_pow2 ~re ~im;
-        Testkit.check_rel ~tol:1e-12 "n=2 sum" 3.0 re.(0);
-        Testkit.check_rel ~tol:1e-12 "n=2 diff" (-1.0) re.(1));
+        Testkit.check_rel ~tol:1e-12 "n=2 sum" 3.0 (Float.Array.get re 0);
+        Testkit.check_rel ~tol:1e-12 "n=2 diff" (-1.0) (Float.Array.get re 1));
     Testkit.case "dft of a single sample is itself" (fun () ->
         let fr, fi = Ptrng_signal.Fft.dft ~re:[| 7.0 |] ~im:[| -2.0 |] in
         Testkit.check_rel ~tol:0.0 "re" 7.0 fr.(0);
         Testkit.check_rel ~tol:0.0 "im" (-2.0) fi.(0));
-    Testkit.case "convolution with an empty operand" (fun () ->
-        Alcotest.(check (array (float 0.0))) "empty" [||]
-          (Ptrng_signal.Fft.convolve_real [||] [| 1.0; 2.0 |]));
     Testkit.case "window of one point" (fun () ->
         List.iter
           (fun kind ->
@@ -40,9 +38,6 @@ let signal_edges =
         let y = Ptrng_signal.Filter.fir_direct ~h:(Array.make 10 0.1) [| 1.0; 1.0 |] in
         Alcotest.(check int) "length" 2 (Array.length y);
         Testkit.check_rel ~tol:1e-12 "causal tail" 0.2 y.(1));
-    Testkit.case "detrend of fewer than two points" (fun () ->
-        Alcotest.(check (array (float 1e-12))) "single" [| 0.0 |]
-          (Ptrng_signal.Filter.detrend_linear [| 42.0 |]));
   ]
 
 let stats_edges =

@@ -84,16 +84,21 @@ let pool_tests =
                  (fun x -> if x = 37 then failwith "boom" else x)
                  xs)));
     Testkit.case "nested sections resolve to one domain" (fun () ->
-        let inner_domains =
+        (* Workers only compute; Alcotest is not domain-safe, so every
+           check runs on the main domain. *)
+        let inner =
           Pool.parallel_map ~domains:4
             (fun _ ->
               (* A nested map still works; it just runs sequentially. *)
               let nested = Pool.parallel_map ~domains:4 (fun x -> x) [| 1; 2 |] in
-              Alcotest.(check (array int)) "nested result" [| 1; 2 |] nested;
-              Pool.resolve ~domains:4 ())
+              (nested, Pool.resolve ~domains:4 ()))
             (Array.make 8 ())
         in
-        Array.iter (fun d -> Alcotest.(check int) "inside worker" 1 d) inner_domains);
+        Array.iter
+          (fun (nested, d) ->
+            Alcotest.(check (array int)) "nested result" [| 1; 2 |] nested;
+            Alcotest.(check int) "inside worker" 1 d)
+          inner);
     Testkit.case "set_default and PTRNG_DOMAINS resolution order" (fun () ->
         Unix.putenv "PTRNG_DOMAINS" "3";
         Alcotest.(check int) "env wins without CLI" 3 (Pool.available ());

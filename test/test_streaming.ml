@@ -9,7 +9,9 @@
 
 open Ptrng_noise
 module FA = Float.Array
+module Fft = Ptrng_signal.Fft
 module Rng = Ptrng_prng.Rng
+module Counter = Ptrng_telemetry.Registry.Counter
 
 let chunk_sizes = [ 1; 7; 64; 1000; 4096; 8192; 10000 ]
 
@@ -191,26 +193,95 @@ let kasdin_tests =
         done);
   ]
 
+(* Digest of the %h renderings of every element, buffers in order. *)
+let digest_fa bufs =
+  let b = Buffer.create 4096 in
+  List.iter (FA.iter (fun x -> Buffer.add_string b (Printf.sprintf "%h" x))) bufs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let uniform_fa rng n = FA.init n (fun _ -> Rng.float rng -. 0.5)
+
+(* Change of a telemetry counter across [f], telemetry enabled. *)
+let counter_delta name f =
+  let c = Counter.v name in
+  Ptrng_telemetry.Registry.enable ();
+  Fun.protect
+    ~finally:(fun () -> Ptrng_telemetry.Registry.disable ())
+    (fun () ->
+      let before = Counter.value c in
+      f ();
+      Counter.value c - before)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
 let fft_tests =
   [
-    Testkit.case "floatarray FFT == signal FFT bit for bit" (fun () ->
-        let n = 1024 in
-        let rng = Testkit.rng ~seed:77L () in
-        let re = Array.init n (fun _ -> Rng.float rng -. 0.5) in
-        let im = Array.init n (fun _ -> Rng.float rng -. 0.5) in
-        let fre = FA.init n (fun i -> re.(i)) in
-        let fim = FA.init n (fun i -> im.(i)) in
-        Ptrng_signal.Fft.forward_pow2 ~re ~im;
-        Fft.forward_pow2 ~re:fre ~im:fim;
-        for i = 0 to n - 1 do
-          Testkit.check_true "re" (Float.equal re.(i) (FA.get fre i));
-          Testkit.check_true "im" (Float.equal im.(i) (FA.get fim i))
-        done;
-        Ptrng_signal.Fft.inverse_pow2 ~re ~im;
-        Fft.inverse_pow2 ~re:fre ~im:fim;
-        for i = 0 to n - 1 do
-          Testkit.check_true "inv re" (Float.equal re.(i) (FA.get fre i))
-        done);
+    (* Digests recorded before the floatarray and float array
+       transforms were merged into one: the merge, and any later change
+       to the butterflies, twiddles or Bluestein path, must not move a
+       bit. *)
+    Testkit.case "pow2 transform digests" (fun () ->
+        let rng = Rng.create ~seed:77L () in
+        let re = uniform_fa rng 1024 in
+        let im = uniform_fa rng 1024 in
+        Fft.forward_pow2 ~re ~im;
+        Alcotest.(check string) "forward" "01f05a14371498cc44f83ef44f38ff98"
+          (digest_fa [ re; im ]);
+        Fft.inverse_pow2 ~re ~im;
+        Alcotest.(check string) "forward then inverse"
+          "c7eb9cc9c8d784f9a8fc47e07d10f9c0" (digest_fa [ re; im ]));
+    Testkit.case "bluestein rfft digest" (fun () ->
+        let rng = Rng.create ~seed:101L () in
+        let x = Array.init 1000 (fun _ -> Rng.float rng -. 0.5) in
+        let re, im = Fft.rfft x in
+        Alcotest.(check string) "n=1000" "403db2231188268634a8d0720aa3262b"
+          (digest_fa (List.map (FA.map_from_array Fun.id) [ re; im ])));
+    Testkit.case "spectral synthesis digest" (fun () ->
+        let y =
+          Spectral_synth.generate (Rng.create ~seed:101L ())
+            ~psd:(fun f -> 1.0 /. f) ~fs:1.0 65536
+        in
+        Alcotest.(check string) "1/f, 2^16" "1596f4d5fe1d894e29781909dac1eaae"
+          (digest_fa [ FA.map_from_array Fun.id y ]));
+    Testkit.case "kasdin overlap-add stream digest" (fun () ->
+        let src =
+          Source.create (Source.flicker_fm ~taps:4096 ~hm1:1e-3 ())
+            (Rng.create ~seed:101L ())
+        in
+        let out = FA.create 20000 in
+        Source.fill src out;
+        Alcotest.(check string) "20000 samples" "aa28aa25cfb97b8afed0625173409cc5"
+          (digest_fa [ out ]));
+    (* The public transforms are counted; the overlap-add convolver's
+       are not, so the streaming path never touches the histogram. *)
+    Testkit.case "transform counting boundary" (fun () ->
+        Alcotest.(check int) "kasdin fill counts no transform" 0
+          (counter_delta "ptrng_signal_fft_total" (fun () ->
+               let src =
+                 Source.create (Source.flicker_fm ~taps:256 ~block:512 ~hm1:1e-3 ())
+                   (Rng.create ~seed:3L ())
+               in
+               Source.fill src (FA.create 5000)));
+        Alcotest.(check int) "one spectral block is one transform" 1
+          (counter_delta "ptrng_signal_fft_total" (fun () ->
+               ignore
+                 (Spectral_synth.generate (Rng.create ~seed:3L ())
+                    ~psd:(fun f -> 1.0 /. f) ~fs:1.0 4096)));
+        let x = Array.make 100 1.0 and y = Array.make 100 0.0 in
+        Alcotest.(check int) "length-100 dft is one bluestein" 1
+          (counter_delta "ptrng_signal_fft_bluestein_total" (fun () ->
+               ignore (Fft.dft ~re:x ~im:y)));
+        Alcotest.(check int) "bluestein runs three pow2 passes" 3
+          (counter_delta "ptrng_signal_fft_total" (fun () ->
+               ignore (Fft.dft ~re:x ~im:y))));
+    Testkit.case "pow2 transform allocates nothing" (fun () ->
+        let n = 1 lsl 16 in
+        let re = uniform_fa (Rng.create ~seed:9L ()) n and im = FA.make n 0.0 in
+        Testkit.check_abs ~tol:0.0 "minor words" 0.0
+          (minor_words (fun () -> Fft.forward_pow2 ~re ~im)));
     Testkit.case "overlap-add == direct convolution" (fun () ->
         let taps = 37 and total = 1000 in
         let rng = Testkit.rng ~seed:15L () in
