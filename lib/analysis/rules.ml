@@ -5,7 +5,6 @@ let all =
     Rule_state.rule;
     Rule_span.rule;
     Rule_interface.rule;
-    Rule_alloc.rule;
     Rule_hotpath.rule;
     Rule_rng.rule;
     Rule_schema.rule;

@@ -1,7 +1,7 @@
 (** The rule registry.  New rules register here (and only here). *)
 
 val all : Rule.t list
-(** R1..R9, in id order. *)
+(** R1..R5 and R7..R9, in id order; the retired id R6 is not reused. *)
 
 val find : string -> Rule.t option
 (** Lookup by id, case-insensitive. *)

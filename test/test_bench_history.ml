@@ -1,7 +1,9 @@
-(* Bench-history records: schema validation, JSONL persistence and the
-   regression comparison used by check_bench --baseline. *)
+(* Bench-history records: schema validation, JSONL persistence, the
+   regression comparison used by check_bench --baseline, and the reject
+   direction of every section gate in Bench_history.Gates. *)
 
 module History = Bench_history.History
+module Gates = Bench_history.Gates
 module Json = Ptrng_telemetry.Json
 
 let report ~sha ~scale =
@@ -269,6 +271,197 @@ let comparison_tests =
         | Error e -> Alcotest.fail e);
   ]
 
+let row name =
+  match
+    List.find_opt (fun (r : Gates.row) -> r.Gates.section = name) Gates.rows
+  with
+  | Some r -> r
+  | None -> Alcotest.failf "no gate row for %s" name
+
+(* A report carrying every gated section, each one valid. *)
+let full_report =
+  Json.of_string
+    {|{"schema": "ptrng-bench/2", "sections": [
+       {"name": "fig7", "wall_s": 1.0, "alloc_bytes": 1048576,
+        "throughput": {"periods_per_sec": 16384},
+        "results": {"periods": 16384, "fit_a": 5.36e-6, "fit_b": 1e-9}},
+       {"name": "extraction", "wall_s": 0.2,
+        "results": {"b_th": 276.04, "sigma_th_ps": 15.89}},
+       {"name": "noise_synth", "wall_s": 0.5,
+        "results": {"domains": 1, "wall_1_s": 0.25, "wall_par_s": 0.25,
+                    "speedup": 1.0, "deterministic": true}},
+       {"name": "variance_curve", "wall_s": 0.5,
+        "results": {"domains": 1, "wall_1_s": 0.25, "wall_par_s": 0.25,
+                    "speedup": 1.0, "deterministic": true}},
+       {"name": "monitor", "wall_s": 0.1,
+        "results": {"jitter_samples": 65536, "bits": 8192,
+                    "ns_per_jitter_sample": 40, "words_per_jitter_sample": 0,
+                    "ns_per_chunk_sample": 20, "words_per_chunk_sample": 0,
+                    "ns_per_bit": 10, "words_per_bit": 0, "verdict": "ok"}},
+       {"name": "scenario", "wall_s": 0.3,
+        "results": {"periods": 2097152, "scenarios": 2, "detected": 1,
+                    "recovered": 1, "false_alarms": 0,
+                    "max_latency_windows": 3}},
+       {"name": "postmortem", "wall_s": 0.1,
+        "results": {"jitter_samples": 65536, "bits": 8192,
+                    "jitter_overhead_words_per_sample": 0.0,
+                    "bit_overhead_words_per_bit": 0.0, "incidents": 0}},
+       {"name": "lint", "wall_s": 0.4,
+        "results": {"units": 122, "errors": 0, "warnings": 0, "info": 0,
+                    "baselined": 29, "rules": 8}}]}|}
+
+let sections report =
+  match Json.member "sections" report with
+  | Some (Json.List l) -> l
+  | _ -> Alcotest.fail "report without sections"
+
+let named name s = Json.member "name" s = Some (Json.String name)
+
+(* [full_report] with section [name] dropped. *)
+let without name =
+  Json.Obj
+    [
+      ("schema", Json.String "ptrng-bench/2");
+      ( "sections",
+        Json.List
+          (List.filter (fun s -> not (named name s)) (sections full_report)) );
+    ]
+
+(* [full_report] with section [name]'s fields replaced by those of
+   [body], keeping its name and wall time. *)
+let with_section name body =
+  let fields = match body with Json.Obj f -> f | _ -> [] in
+  Json.Obj
+    [
+      ("schema", Json.String "ptrng-bench/2");
+      ( "sections",
+        Json.List
+          (List.map
+             (fun s ->
+               if named name s then
+                 Json.Obj
+                   (("name", Json.String name)
+                   :: ("wall_s", Json.num 0.1)
+                   :: fields)
+               else s)
+             (sections full_report)) );
+    ]
+
+(* Runs [Gates.check] and, on rejection, requires the error to come
+   from section [name]'s own gate. *)
+let rejected_by ~fresh name report =
+  match Gates.check ~fresh report with
+  | Ok _ -> false
+  | Error e ->
+    let prefix = "section " ^ name ^ ": " in
+    Testkit.check_true
+      (Printf.sprintf "%S comes from the %s gate" e name)
+      (String.starts_with ~prefix e);
+    true
+
+let postmortem ~jitter_overhead =
+  Json.Obj
+    [
+      ( "results",
+        Json.Obj
+          [
+            ("jitter_samples", Json.Int 65536);
+            ("bits", Json.Int 8192);
+            ("jitter_overhead_words_per_sample", Json.num jitter_overhead);
+            ("bit_overhead_words_per_bit", Json.num 0.0);
+            ("incidents", Json.Int 0);
+          ] );
+    ]
+
+let gate_tests =
+  [
+    Testkit.case "the table gates the eight bench sections" (fun () ->
+        Alcotest.(check (list (pair string bool)))
+          "sections, required in every report"
+          [
+            ("fig7", true);
+            ("extraction", true);
+            ("noise_synth", true);
+            ("variance_curve", true);
+            ("monitor", false);
+            ("scenario", false);
+            ("postmortem", false);
+            ("lint", false);
+          ]
+          (List.map
+             (fun (r : Gates.row) ->
+               (r.Gates.section, r.Gates.required = Gates.Always))
+             Gates.rows));
+    Testkit.case "a report with every section valid passes" (fun () ->
+        List.iter
+          (fun fresh ->
+            match Gates.check ~fresh full_report with
+            | Ok lines ->
+              Alcotest.(check int) "one line per row" (List.length Gates.rows)
+                (List.length lines)
+            | Error e -> Alcotest.fail e)
+          [ true; false ]);
+    Testkit.case "every row's bad section fails the report, fresh or not"
+      (fun () ->
+        List.iter
+          (fun (r : Gates.row) ->
+            let report = with_section r.Gates.section r.Gates.bad in
+            Testkit.check_true
+              (r.Gates.section ^ " bad rejected under fresh")
+              (rejected_by ~fresh:true r.Gates.section report);
+            (* fig7's bad section is over budget, which only fresh gates. *)
+            if r.Gates.section <> "fig7" then
+              Testkit.check_true
+                (r.Gates.section ^ " bad rejected without fresh")
+                (rejected_by ~fresh:false r.Gates.section report))
+          Gates.rows);
+    Testkit.case "the fig7 allocation budget applies only to fresh reports"
+      (fun () ->
+        let report = with_section "fig7" (row "fig7").Gates.bad in
+        Testkit.check_true "bad fig7 passes without fresh"
+          (Result.is_ok (Gates.check ~fresh:false report));
+        match Gates.check ~fresh:true report with
+        | Error e ->
+          Testkit.check_true "budget named"
+            (Testkit.contains ~needle:"bytes/period" e)
+        | Ok _ -> Alcotest.fail "fig7 allocation budget not applied");
+    Testkit.case "the postmortem overhead bound is two-sided" (fun () ->
+        Testkit.check_true "zero overhead passes"
+          (Result.is_ok
+             (Gates.check ~fresh:true
+                (with_section "postmortem" (postmortem ~jitter_overhead:0.0))));
+        List.iter
+          (fun w ->
+            Testkit.check_true
+              (Printf.sprintf "%+.0f words/sample rejected" w)
+              (rejected_by ~fresh:true "postmortem"
+                 (with_section "postmortem" (postmortem ~jitter_overhead:w))))
+          [ 5.0; -5.0 ]);
+    Testkit.case "a missing section fails when required" (fun () ->
+        List.iter
+          (fun (r : Gates.row) ->
+            let report = without r.Gates.section in
+            (match Gates.check ~fresh:true report with
+            | Ok _ ->
+              Alcotest.failf "fresh report lacking %s accepted" r.Gates.section
+            | Error e ->
+              Testkit.check_true
+                (Printf.sprintf "%s named missing in %S" r.Gates.section e)
+                (Testkit.contains ~needle:("missing: " ^ r.Gates.section) e));
+            Testkit.check_true
+              (r.Gates.section ^ " required without fresh iff Always")
+              (Result.is_error (Gates.check ~fresh:false report)
+              = (r.Gates.required = Gates.Always)))
+          Gates.rows);
+    Testkit.case "a skipped lint run passes only without fresh" (fun () ->
+        let skipped = Json.of_string {|{"results": {"skipped": true}}|} in
+        let report = with_section "lint" skipped in
+        Testkit.check_true "snapshot may skip"
+          (Result.is_ok (Gates.check ~fresh:false report));
+        Testkit.check_true "fresh report may not"
+          (rejected_by ~fresh:true "lint" report));
+  ]
+
 let () =
   Alcotest.run "bench_history"
     [
@@ -276,4 +469,5 @@ let () =
       ("persistence", persistence_tests);
       ("comparison", comparison_tests);
       ("alloc-comparison", alloc_comparison_tests);
+      ("gates", gate_tests);
     ]

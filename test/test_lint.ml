@@ -247,29 +247,6 @@ let r5_tests =
              fs));
   ]
 
-let r6_tests =
-  [
-    Testkit.case "R6 flags allocating combinators" (fun () ->
-        ignore
-          (check_flags ~rule_id:"R6" ~name:"r6_map" ~detail_part:"Array.map"
-             "let scale s xs = Array.map (fun x -> s *. x) xs\n");
-        ignore
-          (check_flags ~rule_id:"R6" ~name:"r6_append"
-             ~detail_part:"Array.append"
-             "let grow a b = Array.append a b\n");
-        ignore
-          (check_flags ~rule_id:"R6" ~name:"r6_lmap" ~detail_part:"List.map"
-             "let twice xs = List.map (fun x -> 2 * x) xs\n"));
-    Testkit.case "R6 accepts in-place fills and folds" (fun () ->
-        check_clean ~rule_id:"R6" ~name:"r6_ok"
-          "let scale_into s xs =\n\
-          \  for i = 0 to Float.Array.length xs - 1 do\n\
-          \    Float.Array.set xs i (s *. Float.Array.get xs i)\n\
-          \  done\n\
-           let total xs = Array.fold_left (+.) 0.0 xs\n\
-           let each f xs = Array.iter f xs\n");
-  ]
-
 (* ------------------------------------------------------------------ *)
 (* Call graph and the interprocedural rules                            *)
 (* ------------------------------------------------------------------ *)
@@ -369,26 +346,31 @@ let r7_tests =
     Testkit.case "an injected transitive allocation fails the proof"
       (fun () ->
         (* The acceptance fixture: the entry itself is clean, the
-           allocation hides one call away. *)
-        let fs =
-          run_r7 ~entries:[ "R7_trans.fill" ]
-            [
-              ( "r7_trans",
-                "let helper n = Array.make n 0.0\nlet fill n = helper n\n" );
-            ]
-        in
-        match fs with
-        | [ f ] ->
-          Testkit.check_true "allocator named"
-            (Testkit.contains ~needle:"Array.make" f.A.Finding.detail);
-          Testkit.check_true "witness call path in the message"
-            (Testkit.contains ~needle:"reachable from R7_trans.fill"
-               f.A.Finding.message);
-          Testkit.check_true "warning severity"
-            (f.A.Finding.severity = A.Finding.Warning)
-        | _ ->
-          Alcotest.failf "expected exactly one finding, got %d"
-            (List.length fs));
+           allocation hides one call away — a fresh array, or a
+           whole-array combinator on a hot buffer. *)
+        List.iter
+          (fun (unit, helper, allocator) ->
+            let entry = String.capitalize_ascii unit ^ ".fill" in
+            let fs =
+              run_r7 ~entries:[ entry ]
+                [ (unit, helper ^ "\nlet fill n = helper n\n") ]
+            in
+            match fs with
+            | [ f ] ->
+              Testkit.check_true "allocator named"
+                (Testkit.contains ~needle:allocator f.A.Finding.detail);
+              Testkit.check_true "witness call path in the message"
+                (Testkit.contains ~needle:("reachable from " ^ entry)
+                   f.A.Finding.message);
+              Testkit.check_true "warning severity"
+                (f.A.Finding.severity = A.Finding.Warning)
+            | _ ->
+              Alcotest.failf "%s: expected exactly one finding, got %d" unit
+                (List.length fs))
+          [
+            ("r7_trans", "let helper n = Array.make n 0.0", "Array.make");
+            ("r7_map", "let helper xs = Array.map Float.abs xs", "Array.map");
+          ]);
     Testkit.case "the same allocator out of reach stays clean" (fun () ->
         Alcotest.(check int)
           "no findings" 0
@@ -814,7 +796,6 @@ let () =
       ("R3 concurrency", r3_tests);
       ("R4 span safety", r4_tests);
       ("R5 interface hygiene", r5_tests);
-      ("R6 hot-path alloc", r6_tests);
       ("call graph", callgraph_tests);
       ("R7 hot-path proof", r7_tests);
       ("R8 rng streams", r8_tests);
