@@ -91,10 +91,12 @@ let default_manifest =
         ( "Ptrng_prng.Gaussian.create",
           "constructs the per-chunk sampler state next to Rng.child; \
            same chunk-boundary amortization" );
-        ( "Ptrng_noise.Spectral_synth.generate_with_root",
-          "per-block spectral synthesis: scratch spectrum arrays, FFT \
-           and child-stream setup run once per block (thousands of \
-           samples), bounded by the bench words/sample gate" );
+        ( "Ptrng_noise.Source.spectral_sync",
+          "per-block spectral synthesis: the first block's buffer, the \
+           amplitude spectrum built once at the first resynthesis, and \
+           each block's scratch spectrum, FFT and child streams run once \
+           per block (thousands of samples), bounded by the bench \
+           words/sample gate" );
       ];
   }
 

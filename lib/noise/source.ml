@@ -20,7 +20,9 @@
      memory, any stream length.
    - Spectral: the stream is a sequence of fixed-size synthesized
      blocks; block b is rebuilt on demand from a salted per-block root,
-     so random access (skip) costs at most one block synthesis. *)
+     so random access (skip) costs at most one block synthesis.  Blocks
+     after the first reuse the block buffer and a cached amplitude
+     spectrum. *)
 
 module Rng = Ptrng_prng.Rng
 module Gaussian = Ptrng_prng.Gaussian
@@ -142,6 +144,8 @@ type spectral_state = {
   s_block : int;
   mutable cur : FA.t;          (* synthesized block [block_index] *)
   mutable block_index : int;   (* -1 = none yet *)
+  mutable amps : FA.t;         (* amplitude spectrum; empty until the
+                                  first resynthesis *)
 }
 
 type impl =
@@ -167,12 +171,22 @@ let spectral_block_salt = 1 lsl 30
 let[@inline] spectral_block_root ~root b =
   if b = 0 then root else Rng.derive_seed root (spectral_block_salt + b)
 
+(* The first synthesis allocates [cur] and evaluates the PSD per bin,
+   so a one-block stream holds nothing more.  Every later one builds the
+   amplitude spectrum once and rebuilds the block in place in [cur]. *)
 let spectral_sync st ~backend ~root b =
   if b <> st.block_index then begin
-    st.cur <-
-      Spectral_synth.generate_with_root ~domains:1 ~backend
-        ~root:(spectral_block_root ~root b)
-        ~psd:st.s_psd ~fs:st.s_fs st.s_block;
+    let root = spectral_block_root ~root b in
+    if FA.length st.cur = 0 then
+      st.cur <-
+        Spectral_synth.generate_with_root ~domains:1 ~backend ~root
+          ~psd:st.s_psd ~fs:st.s_fs st.s_block
+    else begin
+      if FA.length st.amps = 0 then
+        st.amps <- Spectral_synth.amplitudes ~psd:st.s_psd ~fs:st.s_fs st.s_block;
+      Spectral_synth.generate_into ~domains:1 ~backend ~root
+        ~amplitudes:st.amps st.cur
+    end;
     st.block_index <- b
   end
 
@@ -203,7 +217,14 @@ let create config rng =
         }
     | CSpectral { psd; fs; block } ->
       ISpectral
-        { s_psd = psd; s_fs = fs; s_block = block; cur = FA.create 0; block_index = -1 }
+        {
+          s_psd = psd;
+          s_fs = fs;
+          s_block = block;
+          cur = FA.create 0;
+          block_index = -1;
+          amps = FA.create 0;
+        }
   in
   { config; backend; root; pos = 0; impl }
 

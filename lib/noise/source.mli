@@ -12,7 +12,8 @@
     Buffer-ownership rule: the caller owns every buffer passed to
     {!fill}/{!fill_range}; the source never retains a reference to it.
     Internal scratch (filter spectra, synthesis blocks) is allocated at
-    {!create} and reused for the life of the source.  See
+    {!create} or at the first fill that needs it, and reused for the
+    life of the source.  See
     docs/STREAMING.md for the full contract.
 
     This is the only noise synthesizer the oscillator simulation uses:
@@ -58,7 +59,12 @@ val spectral : ?block:int -> psd:(float -> float) -> fs:float -> unit -> config
     (a power of two, default 2^16); block 0 is bit-identical to
     [Spectral_synth.generate] for the same creating generator, and any
     block can be resynthesized on demand from its salted per-block
-    root, making {!skip} O(1) until the next fill.  Statistics probing
+    root, making {!skip} O(1) until the next fill.  The first block
+    synthesized evaluates [psd] per bin, so a one-block stream holds
+    only its block; the first resynthesis builds the amplitude spectrum
+    ([block]/2 floats, {!Spectral_synth.amplitudes}) and every later
+    block is rebuilt from it in place ({!Spectral_synth.generate_into}),
+    bit-identical to a fresh synthesis.  Statistics probing
     lags beyond ~[block]/8 feel the per-block periodicity — pick
     [block] comfortably above the longest correlation studied.
     @raise Invalid_argument if [block] is not a power of two or

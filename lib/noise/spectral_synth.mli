@@ -39,8 +39,8 @@ val generate_with_root :
   Float.Array.t
 (** [generate_with_root ~domains ~backend ~root ~psd ~fs n] is
     {!generate} with the root draw supplied explicitly instead of taken
-    from a live generator — the resynthesizable form used by {!Source}
-    to rebuild any block of a stream from its recorded root.
+    from a live generator — the resynthesizable form behind {!Source}:
+    any block of a stream is a pure function of its recorded root.
     [domains] is a required, already-resolved worker count (the
     streaming hot path passes [~domains:1]; an optional argument here
     would allocate a [Some] per block).  The output is bit-identical
@@ -49,6 +49,29 @@ val generate_with_root :
     [generate_with_root ~domains:(Pool.resolve ()) ~backend:(backend
     rng) ~root:(bits64 rng)] copied into a [float array].  @raise Invalid_argument as
     {!generate}. *)
+
+val amplitudes : psd:(float -> float) -> fs:float -> int -> Float.Array.t
+(** [amplitudes ~psd ~fs n] is the amplitude spectrum of an [n]-point
+    block: [n/2] floats, the amplitude of bin k (k = 1 .. n/2) at index
+    k - 1, computed by the same expression {!generate_with_root}
+    evaluates per bin.  It depends only on [psd], [fs] and [n], so a
+    stream that synthesizes many blocks builds it once. *)
+
+val generate_into :
+  domains:int ->
+  backend:Ptrng_prng.Rng.backend ->
+  root:int64 ->
+  amplitudes:Float.Array.t ->
+  Float.Array.t ->
+  unit
+(** [generate_into ~domains ~backend ~root ~amplitudes re] overwrites
+    all of [re] with the block {!generate_with_root} returns for the
+    same root, bit for bit, taking bin amplitudes from [amplitudes]
+    (built by {!amplitudes} for [Float.Array.length re]) instead of
+    calling the PSD, and reusing [re] instead of allocating it.  Both
+    run one synthesis routine; only the amplitude source differs.
+    @raise Invalid_argument if the length of [re] is not a power of two
+    or [amplitudes] does not hold half as many floats. *)
 
 val generate_frac_freq :
   ?domains:int ->

@@ -48,11 +48,74 @@ let bit_reverse_permute re im =
     j := !j lor !bit
   done
 
-(* One butterfly stage of span [len].  The twiddle factor walks the unit
-   circle with a multiplicative recurrence, re-anchored every 64 steps by
-   a direct cos/sin evaluation so rounding error cannot accumulate over
-   multi-million-point transforms. *)
-let stage re im n len sign =
+(* The twiddle factors of a butterfly stage of span [len] walk the unit
+   circle with a multiplicative recurrence, re-anchored every 64 steps
+   by a direct cos/sin evaluation so rounding error cannot accumulate
+   over multi-million-point transforms.  A factor depends on the span,
+   the sign and its index k, not on the block, so stages of span up to
+   [table_max] (most of the blocks) read it from a table filled once;
+   longer stages restart the recurrence in each of their few blocks.
+   [twiddles] and [stage_direct] run the recurrence with the same
+   operations in the same order, so a tabulated factor is bitwise the
+   one the direct loop computes.  In a table, the factors of span [len]
+   are the (re, im) pairs [len/2 - 1 .. len - 2]. *)
+let table_max = 1 lsl 13
+
+let twiddles sign =
+  let t = FA.create (2 * (table_max - 1)) in
+  let len = ref 2 in
+  while !len <= table_max do
+    let half = !len / 2 in
+    let ang = sign *. 2.0 *. Float.pi /. float_of_int !len in
+    let step_r = cos ang and step_i = sin ang in
+    let wr = ref 1.0 and wi = ref 0.0 in
+    for k = 0 to half - 1 do
+      if k land 63 = 0 then begin
+        let a = ang *. float_of_int k in
+        wr := cos a;
+        wi := sin a
+      end;
+      let j = 2 * (half - 1 + k) in
+      FA.set t j !wr;
+      FA.set t (j + 1) !wi;
+      let nwr = (!wr *. step_r) -. (!wi *. step_i) in
+      wi := (!wr *. step_i) +. (!wi *. step_r);
+      wr := nwr
+    done;
+    len := !len * 2
+  done;
+  t
+
+(* Filled once at module initialisation and never written again, so
+   every domain can read them. *)
+let forward_twiddles = twiddles (-1.0)
+
+let inverse_twiddles = twiddles 1.0
+
+let[@inline] butterfly re im p q wr wi =
+  let rq = FA.unsafe_get re q and iq = FA.unsafe_get im q in
+  let vr = (rq *. wr) -. (iq *. wi) in
+  let vi = (rq *. wi) +. (iq *. wr) in
+  let rp = FA.unsafe_get re p and ip = FA.unsafe_get im p in
+  FA.unsafe_set re q (rp -. vr);
+  FA.unsafe_set im q (ip -. vi);
+  FA.unsafe_set re p (rp +. vr);
+  FA.unsafe_set im p (ip +. vi)
+
+let stage_table re im n len t =
+  let half = len / 2 in
+  let base = 2 * (half - 1) in
+  let i = ref 0 in
+  while !i < n do
+    for k = 0 to half - 1 do
+      let j = base + (2 * k) in
+      butterfly re im (!i + k) (!i + k + half) (FA.unsafe_get t j)
+        (FA.unsafe_get t (j + 1))
+    done;
+    i := !i + len
+  done
+
+let stage_direct re im n len sign =
   let half = len / 2 in
   let ang = sign *. 2.0 *. Float.pi /. float_of_int len in
   let step_r = cos ang and step_i = sin ang in
@@ -65,16 +128,7 @@ let stage re im n len sign =
         wr := cos a;
         wi := sin a
       end;
-      let p = !i + k in
-      let q = p + half in
-      let rq = FA.unsafe_get re q and iq = FA.unsafe_get im q in
-      let vr = (rq *. !wr) -. (iq *. !wi) in
-      let vi = (rq *. !wi) +. (iq *. !wr) in
-      let rp = FA.unsafe_get re p and ip = FA.unsafe_get im p in
-      FA.unsafe_set re q (rp -. vr);
-      FA.unsafe_set im q (ip -. vi);
-      FA.unsafe_set re p (rp +. vr);
-      FA.unsafe_set im p (ip +. vi);
+      butterfly re im (!i + k) (!i + k + half) !wr !wi;
       let nwr = (!wr *. step_r) -. (!wi *. step_i) in
       wi := (!wr *. step_i) +. (!wi *. step_r);
       wr := nwr
@@ -88,9 +142,11 @@ let stage re im n len sign =
 let transform ~sign re im n =
   if n > 1 then begin
     bit_reverse_permute re im;
+    let t = if sign < 0.0 then forward_twiddles else inverse_twiddles in
     let len = ref 2 in
     while !len <= n do
-      stage re im n !len sign;
+      if !len <= table_max then stage_table re im n !len t
+      else stage_direct re im n !len sign;
       len := !len * 2
     done
   end

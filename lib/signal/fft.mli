@@ -3,8 +3,11 @@
 
     Power-of-two lengths use an in-place iterative radix-2
     Cooley–Tukey over unboxed [Float.Array.t] buffers owned by the
-    caller, so a transform allocates nothing; arbitrary lengths go
-    through Bluestein's chirp-z algorithm.  Forward transforms are
+    caller, so a transform allocates nothing; the twiddle factors of
+    every stage up to span 2^13 come from read-only tables filled once
+    per process (about 260 KB), bit-identical to the per-stage
+    recurrence longer stages still run.  Arbitrary lengths go through
+    Bluestein's chirp-z algorithm.  Forward transforms are
     unscaled (X_k = sum_j x_j e^{-2 pi i jk/n}); inverse transforms
     divide by n, so [inverse (forward x) = x]. *)
 

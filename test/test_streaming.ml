@@ -217,22 +217,138 @@ let minor_words f =
   f ();
   Gc.minor_words () -. w0
 
+(* Digests of a seeded 2^log2n forward transform, and of the inverse
+   transform of its output. *)
+let transform_pair log2n =
+  let n = 1 lsl log2n in
+  let rng = Rng.create ~seed:77L () in
+  let re = uniform_fa rng n in
+  let im = uniform_fa rng n in
+  Fft.forward_pow2 ~re ~im;
+  let fwd = digest_fa [ re; im ] in
+  Fft.inverse_pow2 ~re ~im;
+  (fwd, digest_fa [ re; im ])
+
+(* Block [b] of a spectral source created from [seed], built directly by
+   Spectral_synth.generate_with_root on the block's salted root (block 0
+   keeps the bare root). *)
+let spectral_block_ref ~seed ~psd ~fs ~block b =
+  let rng = Testkit.rng ~seed () in
+  let backend = Rng.backend rng in
+  let root = Rng.bits64 rng in
+  let root = if b = 0 then root else Rng.derive_seed root ((1 lsl 30) + b) in
+  Spectral_synth.generate_with_root ~domains:1 ~backend ~root ~psd ~fs block
+
+(* Bytes allocated directly in the major heap across [f]: every buffer
+   too large for the minor heap, none of the short-lived boxes.  (The
+   minor-word count is not exact across a minor collection, so the
+   total would be noisy.) *)
+let major_direct_bytes f =
+  let _, p0, m0 = Gc.counters () in
+  f ();
+  let _, p1, m1 = Gc.counters () in
+  (m1 -. m0 -. (p1 -. p0)) *. float_of_int (Sys.word_size / 8)
+
+(* Bytes of a [Float.Array.t] of [n] elements, header included. *)
+let fa_bytes n = float_of_int ((n + 1) * (Sys.word_size / 8))
+
+let spectral_block_tests =
+  let psd f = 1.0 /. f and fs = 1e6 and block = 1 lsl 12 in
+  let config = Source.spectral ~block ~psd ~fs () in
+  let reference blocks =
+    digest_fa (List.map (spectral_block_ref ~seed:61L ~psd ~fs ~block) blocks)
+  in
+  (* Read [blocks] (skipping the gaps) in fills of 1000 samples, which
+     straddle every block boundary. *)
+  let read src blocks =
+    let out = FA.create (List.length blocks * block) in
+    let pos = ref 0 in
+    List.iter
+      (fun b ->
+        Source.skip src ((b * block) - Source.position src);
+        let stop = !pos + block in
+        while !pos < stop do
+          let len = min 1000 (stop - !pos) in
+          Source.fill_range src out ~pos:!pos ~len;
+          pos := !pos + len
+        done)
+      blocks;
+    digest_fa [ out ]
+  in
+  [
+    (* Recorded before the amplitude spectrum was cached: blocks 1..4
+       are rebuilt from the cached table, block 0 after [reset] too. *)
+    Testkit.case "5-block spectral stream: in order, skip, reset" (fun () ->
+        let all = [ 0; 1; 2; 3; 4 ] and skipped = [ 0; 1; 3; 4 ] in
+        Alcotest.(check string) "reference, 5 blocks" "510e8cd46cad6461bc4f17649c684a74" (reference all);
+        Alcotest.(check string) "reference, block 2 skipped" "a9a0e3e6681e9fc602b9b4bb08e8193c"
+          (reference skipped);
+        let src = Source.create config (Testkit.rng ~seed:61L ()) in
+        Alcotest.(check string) "in order" (reference all) (read src all);
+        Source.reset src;
+        Alcotest.(check string) "block 2 skipped" (reference skipped)
+          (read src skipped);
+        Source.reset src;
+        Alcotest.(check string) "after reset" (reference all) (read src all));
+    Testkit.case "one-block stream allocates only re, im and draws" (fun () ->
+        let n = 1 lsl 16 in
+        let config = Source.spectral ~block:n ~psd ~fs () in
+        let src = Source.create config (Testkit.rng ~seed:62L ()) in
+        let out = FA.create n in
+        let bytes = major_direct_bytes (fun () -> Source.fill src out) in
+        (* re and im, plus the (a, b) draws of the n/2 - 1 interior bins
+           in per-chunk arrays; an amplitude table (n/2 floats) would
+           exceed the slack.  The psd closure's boxed argument and
+           result per bin stay in the minor heap, as before. *)
+        let bound = (2.0 *. fa_bytes n) +. fa_bytes n +. 16384.0 in
+        Testkit.check_true
+          (Printf.sprintf "%.0f bytes <= %.0f" bytes bound)
+          (bytes <= bound));
+    Testkit.case "later blocks allocate no table and no re buffer" (fun () ->
+        let n = 1 lsl 16 in
+        let calls = ref 0 in
+        let psd f =
+          incr calls;
+          psd f
+        in
+        let config = Source.spectral ~block:n ~psd ~fs () in
+        let src = Source.create config (Testkit.rng ~seed:63L ()) in
+        let out = FA.create n in
+        Source.fill src out;
+        Source.fill src out;
+        let before = !calls in
+        let bytes = major_direct_bytes (fun () -> Source.fill src out) in
+        Alcotest.(check int) "no PSD evaluation" before !calls;
+        (* im and the draws only: an amplitude table (n/2 floats) or a
+           fresh re buffer (n floats) would exceed the slack. *)
+        let bound = fa_bytes n +. fa_bytes n +. 16384.0 in
+        Testkit.check_true
+          (Printf.sprintf "%.0f bytes <= %.0f" bytes bound)
+          (bytes <= bound));
+  ]
+
 let fft_tests =
   [
     (* Digests recorded before the floatarray and float array
-       transforms were merged into one: the merge, and any later change
-       to the butterflies, twiddles or Bluestein path, must not move a
-       bit. *)
+       transforms were merged into one (2^10), and before the twiddle
+       tables (2^14, 2^17): any change to the butterflies, twiddles or
+       Bluestein path must not move a bit.  2^14 runs every tabulated
+       stage (len <= 2^13) and one direct stage; 2^17 runs four direct
+       stages. *)
     Testkit.case "pow2 transform digests" (fun () ->
-        let rng = Rng.create ~seed:77L () in
-        let re = uniform_fa rng 1024 in
-        let im = uniform_fa rng 1024 in
-        Fft.forward_pow2 ~re ~im;
-        Alcotest.(check string) "forward" "01f05a14371498cc44f83ef44f38ff98"
-          (digest_fa [ re; im ]);
-        Fft.inverse_pow2 ~re ~im;
-        Alcotest.(check string) "forward then inverse"
-          "c7eb9cc9c8d784f9a8fc47e07d10f9c0" (digest_fa [ re; im ]));
+        List.iter
+          (fun (log2n, fwd, inv) ->
+            let got_fwd, got_inv = transform_pair log2n in
+            Alcotest.(check string) (Printf.sprintf "forward 2^%d" log2n) fwd
+              got_fwd;
+            Alcotest.(check string)
+              (Printf.sprintf "forward then inverse 2^%d" log2n)
+              inv got_inv)
+          [
+            (10, "01f05a14371498cc44f83ef44f38ff98", "c7eb9cc9c8d784f9a8fc47e07d10f9c0");
+            (14, "152b66158a55c272fff4da7a10a85d0d", "688e2405c37792198c0cd9126a6a09d3");
+            (17, "a06235066a64974eaa463537f8bcb5e9", "5bc9f93f6e99d61cfb4ffdfea9ff9bc2");
+          ]);
     Testkit.case "bluestein rfft digest" (fun () ->
         let rng = Rng.create ~seed:101L () in
         let x = Array.init 1000 (fun _ -> Rng.float rng -. 0.5) in
@@ -277,6 +393,16 @@ let fft_tests =
         Alcotest.(check int) "bluestein runs three pow2 passes" 3
           (counter_delta "ptrng_signal_fft_total" (fun () ->
                ignore (Fft.dft ~re:x ~im:y))));
+    (* The twiddle tables are shared by every domain: they must be
+       read-only for concurrent transforms to agree with one domain. *)
+    Testkit.case "pow2 transforms on 2 domains == 1 domain" (fun () ->
+        let one = transform_pair 14 in
+        let run () = List.init 4 (fun _ -> transform_pair 14) in
+        let d = Domain.spawn run in
+        let here = run () in
+        List.iter
+          (fun got -> Testkit.check_true "digest pair" (got = one))
+          (here @ Domain.join d));
     Testkit.case "pow2 transform allocates nothing" (fun () ->
         let n = 1 lsl 16 in
         let re = uniform_fa (Rng.create ~seed:9L ()) n and im = FA.make n 0.0 in
@@ -664,6 +790,7 @@ let () =
       ("white", white_tests);
       ("voss", voss_tests);
       ("spectral", spectral_tests);
+      ("spectral-blocks", spectral_block_tests);
       ("kasdin", kasdin_tests);
       ("fft-path", fftpath_tests);
       ("oscillator", oscillator_tests);
