@@ -30,72 +30,98 @@ let rec log_gamma x =
     (0.5 *. log (2.0 *. Float.pi)) +. ((x +. 0.5) *. log t) -. t +. log !acc
   end
 
-(* Series representation of P(a,x), converges fast for x < a + 1. *)
-let gamma_p_series ~a ~x =
+(* Series representation of P(a,x), converges fast for x < a + 1.
+   [lga] is log Gamma(a).  Plain loops over float refs: the native
+   compiler keeps them unboxed. *)
+let gamma_p_series ~a ~lga ~x =
   let eps = 1e-15 in
-  let rec loop n term sum =
-    if Float.abs term < Float.abs sum *. eps || n > 1000 then sum
-    else begin
-      let term = term *. x /. (a +. float_of_int n) in
-      loop (n + 1) term (sum +. term)
-    end
-  in
-  let first = 1.0 /. a in
-  let sum = loop 1 first first in
-  sum *. exp ((a *. log x) -. x -. log_gamma a)
+  let n = ref 1 in
+  let term = ref (1.0 /. a) in
+  let sum = ref !term in
+  while not (Float.abs !term < Float.abs !sum *. eps || !n > 1000) do
+    term := !term *. x /. (a +. float_of_int !n);
+    sum := !sum +. !term;
+    incr n
+  done;
+  !sum *. exp ((a *. log x) -. x -. lga)
 
-(* Lentz continued fraction for Q(a,x), converges fast for x >= a + 1. *)
-let gamma_q_cf ~a ~x =
-  let eps = 1e-15 and tiny = 1e-300 in
-  let b = ref (x +. 1.0 -. a) in
-  let c = ref (1.0 /. tiny) in
-  let d = ref (1.0 /. !b) in
-  let h = ref !d in
-  (try
-     for i = 1 to 1000 do
-       let an = -.float_of_int i *. (float_of_int i -. a) in
-       b := !b +. 2.0;
-       d := (an *. !d) +. !b;
-       if Float.abs !d < tiny then d := tiny;
-       c := !b +. (an /. !c);
-       if Float.abs !c < tiny then c := tiny;
-       d := 1.0 /. !d;
-       let delta = !d *. !c in
-       h := !h *. delta;
-       if Float.abs (delta -. 1.0) < eps then raise Exit
-     done
-   with Exit -> ());
-  !h *. exp ((a *. log x) -. x -. log_gamma a)
+(* Lentz continued fraction for Q(a,x), converges fast for x >= a + 1.
+   The fraction is positive and finite, so once the prefactor has
+   underflowed the result is exactly 0 and the fraction is skipped.
+   A flag rather than [raise Exit] ends the loop: the raise cost ~15%
+   of an [Entropy.avg_entropy] call. *)
+let gamma_q_cf ~a ~lga ~x =
+  let prefactor = exp ((a *. log x) -. x -. lga) in
+  if prefactor = 0.0 then 0.0
+  else begin
+    let eps = 1e-15 and tiny = 1e-300 in
+    let b = ref (x +. 1.0 -. a) in
+    let c = ref (1.0 /. tiny) in
+    let d = ref (1.0 /. !b) in
+    let h = ref !d in
+    let i = ref 1 in
+    let converged = ref false in
+    while (not !converged) && !i <= 1000 do
+      let an = -.float_of_int !i *. (float_of_int !i -. a) in
+      b := !b +. 2.0;
+      d := (an *. !d) +. !b;
+      if Float.abs !d < tiny then d := tiny;
+      c := !b +. (an /. !c);
+      if Float.abs !c < tiny then c := tiny;
+      d := 1.0 /. !d;
+      let delta = !d *. !c in
+      h := !h *. delta;
+      converged := Float.abs (delta -. 1.0) < eps;
+      incr i
+    done;
+    !h *. prefactor
+  end
+
+(* P(a,x), or Q(a,x) when [upper], for x > 0: the series below a + 1,
+   the continued fraction from there, and the limits at x = infinity
+   (where x^2 overflowed in erf/erfc). *)
+let[@inline] gamma_pq ~upper ~a ~lga ~x =
+  if x = Float.infinity then if upper then 0.0 else 1.0
+  else if x < a +. 1.0 then begin
+    let p = gamma_p_series ~a ~lga ~x in
+    if upper then 1.0 -. p else p
+  end
+  else begin
+    let q = gamma_q_cf ~a ~lga ~x in
+    if upper then q else 1.0 -. q
+  end
 
 let gamma_p ~a ~x =
   if a <= 0.0 then invalid_arg "Special.gamma_p: a <= 0";
   if x < 0.0 then invalid_arg "Special.gamma_p: x < 0";
-  if x = 0.0 then 0.0
-  else if x < a +. 1.0 then gamma_p_series ~a ~x
-  else 1.0 -. gamma_q_cf ~a ~x
+  if x = 0.0 then 0.0 else gamma_pq ~upper:false ~a ~lga:(log_gamma a) ~x
 
 let gamma_q ~a ~x =
   if a <= 0.0 then invalid_arg "Special.gamma_q: a <= 0";
   if x < 0.0 then invalid_arg "Special.gamma_q: x < 0";
-  if x = 0.0 then 1.0
-  else if x < a +. 1.0 then 1.0 -. gamma_p_series ~a ~x
-  else gamma_q_cf ~a ~x
+  if x = 0.0 then 1.0 else gamma_pq ~upper:true ~a ~lga:(log_gamma a) ~x
+
+(* The a = 1/2 core of erf and erfc: P or Q (1/2, x^2) with log Gamma(1/2)
+   computed once rather than per call. *)
+let log_gamma_half = log_gamma 0.5
+
+let[@inline] gamma_half ~upper x2 = gamma_pq ~upper ~a:0.5 ~lga:log_gamma_half ~x:x2
 
 let erf x =
   if x = 0.0 then 0.0
   else begin
-    let p = gamma_p ~a:0.5 ~x:(x *. x) in
+    let p = gamma_half ~upper:false (x *. x) in
     if x > 0.0 then p else -.p
   end
 
-let erfc_pos x = if x = 0.0 then 1.0 else gamma_q ~a:0.5 ~x:(x *. x)
+let[@inline] erfc_pos x = if x = 0.0 then 1.0 else gamma_half ~upper:true (x *. x)
 
-let erfc x = if x < 0.0 then 2.0 -. erfc_pos (-.x) else erfc_pos x
+let[@inline] erfc x = if x < 0.0 then 2.0 -. erfc_pos (-.x) else erfc_pos x
 
 let sqrt2 = sqrt 2.0
 
-let normal_cdf x = 0.5 *. erfc (-.x /. sqrt2)
-let normal_sf x = 0.5 *. erfc (x /. sqrt2)
+let[@inline] normal_cdf x = 0.5 *. erfc (-.x /. sqrt2)
+let[@inline] normal_sf x = 0.5 *. erfc (x /. sqrt2)
 
 (* Acklam's rational approximation to the normal quantile, then one
    step of Halley refinement using the exact CDF above. *)

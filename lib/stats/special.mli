@@ -12,13 +12,19 @@ val gamma_q : a:float -> x:float -> float
 (** Regularised upper incomplete gamma Q(a, x) = 1 - P(a, x). *)
 
 val erf : float -> float
-(** Error function. *)
+(** Error function: sign(x) P(1/2, x^2).  [erf] and [erfc] share one
+    a = 1/2 incomplete-gamma core whose log Gamma(1/2) is computed once
+    at module initialisation.  [erf (+-infinity) = +-1]; NaN gives NaN. *)
 
 val erfc : float -> float
-(** Complementary error function [1 - erf x], accurate for large x. *)
+(** Complementary error function [1 - erf x] = Q(1/2, x^2) for x >= 0,
+    accurate for large x.  Exactly 0 once the continued fraction's
+    prefactor underflows (x > ~27.3) and for any x whose square
+    overflows, including [infinity]; [erfc neg_infinity = 2]; NaN gives
+    NaN. *)
 
 val normal_cdf : float -> float
-(** Standard normal CDF. *)
+(** Standard normal CDF: 0 at [neg_infinity], 1 at [infinity]. *)
 
 val normal_sf : float -> float
 (** Standard normal survival function, accurate in the upper tail. *)

@@ -130,6 +130,20 @@ let entropy_tests =
         let h3 = Entropy.avg_entropy ~phase_std:3.0 in
         Testkit.check_true "monotone" (h1 < h2 && h2 < h3);
         Testkit.check_in_range "saturates at 1" ~lo:0.9999 ~hi:1.0 h3);
+    Testkit.case "avg entropy digest" (fun () ->
+        (* Pins every bit across both branches of bit_probability (the
+           wrapped sum below phase_std 3, the Fourier series above). *)
+        let stds = Seq.init 201 (fun i -> if i = 0 then 0.001 else 0.02 *. float_of_int i) in
+        Alcotest.(check string) "phase_std 0.001 .. 4.0" "7f1193e8e1b6e29b53d5dfceff1fe036"
+          (Testkit.float_digest (Seq.map (fun phase_std -> Entropy.avg_entropy ~phase_std) stds)));
+    Testkit.case "avg entropy at phase_std 0.325 stays under 230k minor words" (fun () ->
+        (* Before erfc's incomplete-gamma core became plain loops with a
+           precomputed log Gamma(1/2), one call at phase_std 0.325 took
+           460296 minor words. *)
+        let words =
+          Testkit.minor_words (fun () -> ignore (Entropy.avg_entropy ~phase_std:0.325))
+        in
+        Testkit.check_true (Printf.sprintf "%.0f words <= 230000" words) (words <= 230000.0));
     Testkit.case "min entropy is a lower bound on avg entropy" (fun () ->
         List.iter
           (fun s ->
@@ -337,6 +351,12 @@ let design_tests =
         let real_entropy = Design.entropy_at ~extract ~divisor:naive in
         Testkit.check_true "delivered entropy misses the target"
           (real_entropy < 0.99));
+    Testkit.case "entropy_at digest on the paper's extract" (fun () ->
+        Alcotest.(check string) "divisors 1 .. 10000" "d300ccc66fad917add22b527e57d7e10"
+          (Testkit.float_digest
+             (Seq.map
+                (fun divisor -> Design.entropy_at ~extract ~divisor)
+                (List.to_seq [ 1; 10; 100; 1000; 10000 ]))));
     Testkit.case "rejects bad targets" (fun () ->
         Alcotest.check_raises "target" (Invalid_argument "Design: target outside (0,1)")
           (fun () -> ignore (Design.required_divisor ~target:1.5 ~extract ())));

@@ -68,6 +68,56 @@ let histogram_tests =
           (fun () -> ignore (Histogram.make ~bins:4 ~range:(1.0, 1.0) [| 1.0 |])));
   ]
 
+(* math.erfc from CPython, which shares no code with Special:
+   python3 -c "import math; print([(x, math.erfc(x)) for x in [-3 + 0.75*k for k in range(40)]])" *)
+let erfc_reference =
+  [
+    (-3.0, 1.9999779095030015);
+    (-2.25, 1.9985372834133188);
+    (-1.5, 1.9661051464753108);
+    (-0.75, 1.7111556336535152);
+    (0.0, 1.0);
+    (0.75, 0.28884436634648486);
+    (1.5, 0.033894853524689274);
+    (2.25, 0.0014627165866811518);
+    (3.0, 2.2090496998585438e-05);
+    (3.75, 1.1372725656979664e-07);
+    (4.5, 1.9661604415428873e-10);
+    (5.25, 1.1310313266887154e-13);
+    (6.0, 2.1519736712498916e-17);
+    (6.75, 1.3487678893611298e-21);
+    (7.5, 2.776649386030569e-26);
+    (8.25, 1.8735664705504999e-31);
+    (9.0, 4.13703174651381e-37);
+    (9.75, 2.9857008328005786e-43);
+    (10.5, 7.035928090177523e-50);
+    (11.25, 5.409760870689921e-57);
+    (12.0, 1.3562611692059042e-64);
+    (12.75, 1.1081345768520579e-72);
+    (13.5, 2.949433113257988e-81);
+    (14.25, 2.556372343088649e-90);
+    (15.0, 7.212994172451206e-100);
+    (15.75, 6.623668412559064e-110);
+    (16.5, 1.9791305755532683e-120);
+    (17.25, 1.9237891895868788e-131);
+    (18.0, 6.082369231816399e-143);
+    (18.75, 6.253951588878104e-155);
+    (19.5, 2.0909541479227294e-167);
+    (20.25, 2.272956417880784e-180);
+    (21.0, 8.032453871022456e-194);
+    (21.75, 9.22729996799772e-208);
+    (22.5, 3.445348860464602e-222);
+    (23.25, 4.1810990031782966e-237);
+    (24.0, 1.6489825831519335e-252);
+    (24.75, 2.1134039756554102e-268);
+    (25.5, 8.801662690727949e-285);
+    (26.25, 1.191076770672623e-301);
+  ]
+
+(* Exact comparison that, unlike check_abs ~tol:0.0, fails on a NaN
+   result. *)
+let check_exact = Alcotest.(check (float 0.0))
+
 let special_tests =
   [
     Testkit.case "log_gamma at integers and half-integers" (fun () ->
@@ -83,7 +133,61 @@ let special_tests =
         Testkit.check_rel ~tol:1e-9 "erf 1" 0.8427007929497149 (Special.erf 1.0);
         Testkit.check_rel ~tol:1e-9 "erf 0.5" 0.5204998778130465 (Special.erf 0.5);
         Testkit.check_rel ~tol:1e-9 "erf -1" (-0.8427007929497149) (Special.erf (-1.0));
-        Testkit.check_rel ~tol:1e-8 "erfc 2" 0.004677734981063127 (Special.erfc 2.0));
+        Testkit.check_rel ~tol:1e-12 "erfc 2" 0.004677734981047265 (Special.erfc 2.0));
+    Testkit.case "erfc matches an independent reference table" (fun () ->
+        List.iter
+          (fun (x, expected) ->
+            Testkit.check_rel ~tol:1e-12 (Printf.sprintf "erfc %g" x) expected
+              (Special.erfc x))
+          erfc_reference);
+    Testkit.case "erf family and incomplete gamma at the infinities and NaN" (fun () ->
+        check_exact "erfc +inf" 0.0 (Special.erfc Float.infinity);
+        check_exact "erfc -inf" 2.0 (Special.erfc Float.neg_infinity);
+        check_exact "erfc 1e200" 0.0 (Special.erfc 1e200);
+        check_exact "erfc -1e200" 2.0 (Special.erfc (-1e200));
+        check_exact "erf +inf" 1.0 (Special.erf Float.infinity);
+        check_exact "erf -inf" (-1.0) (Special.erf Float.neg_infinity);
+        check_exact "normal_cdf +inf" 1.0 (Special.normal_cdf Float.infinity);
+        check_exact "normal_cdf -inf" 0.0 (Special.normal_cdf Float.neg_infinity);
+        check_exact "normal_sf +inf" 0.0 (Special.normal_sf Float.infinity);
+        check_exact "gamma_p x = inf" 1.0 (Special.gamma_p ~a:2.5 ~x:Float.infinity);
+        check_exact "gamma_q x = inf" 0.0 (Special.gamma_q ~a:2.5 ~x:Float.infinity);
+        List.iter
+          (fun (name, f) -> Testkit.check_true name (Float.is_nan (f Float.nan)))
+          [
+            ("erf nan", Special.erf);
+            ("erfc nan", Special.erfc);
+            ("normal_cdf nan", Special.normal_cdf);
+            ("normal_sf nan", Special.normal_sf);
+          ]);
+    Testkit.case "erfc is exactly 0 once its prefactor underflows" (fun () ->
+        check_exact "erfc 30" 0.0 (Special.erfc 30.0);
+        check_exact "erfc 40" 0.0 (Special.erfc 40.0));
+    Testkit.case "erf family and incomplete gamma digests" (fun () ->
+        (* Pins every bit of the outputs.  The erfc grid spans the series
+           branch (x^2 < 1.5), the continued fraction and the underflow
+           region (x > ~27.3); the gamma grid straddles x = a + 1 for the
+           chi^2 and AIS-31 procedure B shapes. *)
+        let xs = List.init 861 (fun i -> -3.0 +. (0.05 *. float_of_int i)) in
+        let gamma_args =
+          List.concat_map
+            (fun a ->
+              List.map
+                (fun r -> (a, r *. (a +. 1.0)))
+                [ 0.01; 0.2; 0.5; 0.9; 0.99; 1.0; 1.01; 1.2; 2.0; 5.0; 20.0 ])
+            [ 0.5; 1.0; 2.5; 10.0 ]
+        in
+        let gamma f = List.map (fun (a, x) -> f ~a ~x) gamma_args in
+        List.iter
+          (fun (name, expected, values) ->
+            Alcotest.(check string) name expected (Testkit.float_digest (List.to_seq values)))
+          [
+            ("erfc", "fb50418c3fc6bf238e30e113184ed7f4", List.map Special.erfc xs);
+            ("normal_cdf", "1e86e55401d3fed384ade36e4fd33847", List.map Special.normal_cdf xs);
+            ("normal_sf", "af9b0f71c6ff08e91b6d873410a3b06e", List.map Special.normal_sf xs);
+            ("gamma_p", "5e93e099043839c0b803eb16c2a63280", gamma Special.gamma_p);
+            ("gamma_q", "941b71fff29ab9c75d1de7868e87689f", gamma Special.gamma_q);
+          ]);
     Testkit.case "erf + erfc = 1" (fun () ->
         List.iter
           (fun x ->

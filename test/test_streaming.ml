@@ -194,10 +194,7 @@ let kasdin_tests =
   ]
 
 (* Digest of the %h renderings of every element, buffers in order. *)
-let digest_fa bufs =
-  let b = Buffer.create 4096 in
-  List.iter (FA.iter (fun x -> Buffer.add_string b (Printf.sprintf "%h" x))) bufs;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+let digest_fa bufs = Testkit.float_digest (Seq.concat_map FA.to_seq (List.to_seq bufs))
 
 let uniform_fa rng n = FA.init n (fun _ -> Rng.float rng -. 0.5)
 
@@ -211,11 +208,6 @@ let counter_delta name f =
       let before = Counter.value c in
       f ();
       Counter.value c - before)
-
-let minor_words f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
 
 (* Digests of a seeded 2^log2n forward transform, and of the inverse
    transform of its output. *)
@@ -407,7 +399,7 @@ let fft_tests =
         let n = 1 lsl 16 in
         let re = uniform_fa (Rng.create ~seed:9L ()) n and im = FA.make n 0.0 in
         Testkit.check_abs ~tol:0.0 "minor words" 0.0
-          (minor_words (fun () -> Fft.forward_pow2 ~re ~im)));
+          (Testkit.minor_words (fun () -> Fft.forward_pow2 ~re ~im)));
     Testkit.case "overlap-add == direct convolution" (fun () ->
         let taps = 37 and total = 1000 in
         let rng = Testkit.rng ~seed:15L () in
@@ -572,10 +564,7 @@ let golden_tests =
   let trng = Ptrng_trng.Ero_trng.paper_trng () in
   let pair_digest n =
     let p1, p2 = Pair.simulate (Rng.create ~seed:101L ()) trng.pair ~n in
-    let b = Buffer.create (2 * n * 24) in
-    Array.iter (fun x -> Buffer.add_string b (Printf.sprintf "%h" x)) p1;
-    Array.iter (fun x -> Buffer.add_string b (Printf.sprintf "%h" x)) p2;
-    Digest.to_hex (Digest.string (Buffer.contents b))
+    Testkit.float_digest (Seq.append (Array.to_seq p1) (Array.to_seq p2))
   in
   [
     Testkit.case "Pair.simulate digests" (fun () ->

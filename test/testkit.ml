@@ -29,6 +29,19 @@ let source_samples config rng n =
   Ptrng_noise.Source.fill (Ptrng_noise.Source.create config rng) buf;
   Array.init n (Float.Array.get buf)
 
+(* Minor-heap words allocated while [f] runs. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Digest of the %h renderings of [xs], in order: a change to any bit of
+   any value changes it. *)
+let float_digest xs =
+  let b = Buffer.create 4096 in
+  Seq.iter (fun x -> Buffer.add_string b (Printf.sprintf "%h" x)) xs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 
