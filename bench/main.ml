@@ -1,40 +1,31 @@
-(* Benchmark & reproduction harness.
+(* Paper-numbers and correctness harness.
 
      dune exec bench/main.exe              (default sizes, ~2 min)
      dune exec bench/main.exe -- --quick   (CI-sized)
      dune exec bench/main.exe -- --full    (high-precision Fig. 7)
      dune exec bench/main.exe -- --smoke   (seconds; for dune runtest)
-     dune exec bench/main.exe -- --no-perf (skip Bechamel timings)
      dune exec bench/main.exe -- --out F   (write the JSON report to F)
      dune exec bench/main.exe -- --perfetto-out F  (Perfetto trace)
-     dune exec bench/main.exe -- --sha REV (stamp the history record)
-     dune exec bench/main.exe -- --history F       (history JSONL path)
-     dune exec bench/main.exe -- --history-table   (print trend, no run)
-     dune exec bench/main.exe -- --lint-summary S  (stamp history with S)
+     dune exec bench/main.exe -- --domains N       (parallel sections)
 
    One section per experiment of EXPERIMENTS.md (the paper's Fig. 7 and
    the numeric results of Sections III-E/IV-B, plus the three
-   ablations), followed by Bechamel micro-benchmarks of the
-   computational kernels.
+   ablations), followed by the correctness sections that
+   bench/gates.ml checks: determinism across domain counts, the calm
+   monitor feed, scenario detection, flight-recorder overhead and lint.
 
    Every run also writes a machine-readable report (BENCH_1.json by
    default): per-section wall time and allocation from the telemetry
    span tree, key numeric results (fitted a/b, sigma_th, growth
-   exponents), per-section throughput, kernel timings and the full
-   metrics snapshot — and appends one ptrng-bench-history/1 record to
-   the history file (bench/history.jsonl by default).
-   docs/OBSERVABILITY.md describes the report format, docs/PROFILING.md
-   the trace and history tooling; the @bench-smoke alias checks none of
-   it rots. *)
+   exponents) and the full metrics snapshot.  docs/OBSERVABILITY.md
+   describes the report format; the @bench-smoke alias checks it does
+   not rot.  Performance is measured by bench_e2e/run.py, not here. *)
 
 module Tm = Ptrng_telemetry
-module History = Bench_history.History
 
 let smoke = Array.exists (( = ) "--smoke") Sys.argv
 let quick = Array.exists (( = ) "--quick") Sys.argv
 let full = Array.exists (( = ) "--full") Sys.argv
-let no_perf = Array.exists (( = ) "--no-perf") Sys.argv || smoke
-let history_table = Array.exists (( = ) "--history-table") Sys.argv
 
 let flag_value name default =
   let v = ref default in
@@ -44,17 +35,6 @@ let flag_value name default =
   !v
 
 let out_path = flag_value "--out" "BENCH_1.json"
-let history_path = flag_value "--history" "bench/history.jsonl"
-let sha = flag_value "--sha" "unknown"
-
-(* --lint-summary "ptrng-lint: ..." stamps the history record with the
-   lint state of the tree that was benched (CI passes the @lint
-   summary line through).  When the flag is absent, the lint section
-   below fills it from its own in-process analyzer run, so every
-   history record carries the finding counts alongside the analyzer
-   wall time. *)
-let lint_summary =
-  Atomic.make (match flag_value "--lint-summary" "" with "" -> None | s -> Some s)
 
 let perfetto_out =
   match flag_value "--perfetto-out" "" with "" -> None | path -> Some path
@@ -66,9 +46,9 @@ let () =
     (fun i a ->
       if a = "--domains" && i + 1 < Array.length Sys.argv then
         match int_of_string_opt Sys.argv.(i + 1) with
-        | Some d -> Ptrng_exec.Pool.set_default (Some d)
-        | None ->
-          Printf.eprintf "bench: --domains expects an integer\n";
+        | Some d when d >= 1 -> Ptrng_exec.Pool.set_default (Some d)
+        | _ ->
+          Printf.eprintf "bench: --domains expects an integer >= 1\n";
           exit 2)
     Sys.argv
 
@@ -363,32 +343,22 @@ let section_restart () =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Parallel sections: wall time at 1 domain vs the pool, same seeds    *)
+(* Parallel sections: 1 domain vs the pool, same seeds                 *)
 (* ------------------------------------------------------------------ *)
 
-let timed f =
-  let t = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t)
-
 (* Run [work d] at 1 domain and at [pool_domains] (same seed inside
-   [work], so the outputs must be bit-identical) and report the usual
-   speedup key-values.  [equal] checks the bit-identity claim. *)
+   [work], so the outputs must be bit-identical) and report whether
+   they were.  [equal] checks the bit-identity claim.  Parallel scaling
+   is measured by the traced bench_e2e run, not here. *)
 let dual_run ~equal work =
-  let r1, wall_1 = timed (fun () -> work 1) in
-  let rp, wall_par = timed (fun () -> work pool_domains) in
+  let r1 = work 1 in
+  let rp = work pool_domains in
   let deterministic = equal r1 rp in
-  let speedup = wall_1 /. Float.max 1e-9 wall_par in
-  Printf.printf
-    "1 domain: %.3f s   %d domains: %.3f s   speedup %.2fx   bit-identical: %s\n"
-    wall_1 pool_domains wall_par speedup
+  Printf.printf "1 domain vs %d domains: bit-identical: %s\n" pool_domains
     (if deterministic then "yes" else "NO");
   ( rp,
     [
       ("domains", Tm.Json.Int pool_domains);
-      ("wall_1_s", Tm.Json.num wall_1);
-      ("wall_par_s", Tm.Json.num wall_par);
-      ("speedup", Tm.Json.num speedup);
       ("deterministic", Tm.Json.Bool deterministic);
     ] )
 
@@ -682,110 +652,11 @@ let section_postmortem () =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel kernel benchmarks                                          *)
-(* ------------------------------------------------------------------ *)
-
-let kernel_tests () =
-  let open Bechamel in
-  let rng = Ptrng_prng.Rng.create ~seed:1L () in
-  let g = Ptrng_prng.Gaussian.create rng in
-  let fft_n = 1 lsl 14 in
-  let fft_re = Float.Array.init fft_n (fun _ -> Ptrng_prng.Gaussian.draw g) in
-  let white = Array.init (1 lsl 16) (fun _ -> Ptrng_prng.Gaussian.draw g) in
-  let jitter = Array.map (fun v -> v *. 1e-12) white in
-  let periods = Array.map (fun v -> 9.7e-9 +. (v *. 1e-12)) white in
-  let edges1 = Ptrng_osc.Oscillator.edges_of_periods periods in
-  let edges2 = Ptrng_osc.Oscillator.edges_of_periods periods in
-  let block =
-    let r = Ptrng_prng.Rng.create ~seed:5L () in
-    Array.init 20000 (fun _ -> Ptrng_prng.Rng.bool r)
-  in
-  let curve_points =
-    let ns = Ptrng_measure.Variance_curve.log2_grid ~n_min:4 ~n_max:8192 in
-    Ptrng_measure.Variance_curve.of_jitter ~f0:paper_f0 ~ns jitter
-  in
-  [
-    Test.make ~name:"gaussian ziggurat draw"
-      (Staged.stage (fun () -> ignore (Ptrng_prng.Gaussian.draw g)));
-    Test.make ~name:"fft 16k (fwd+inv)"
-      (Staged.stage (fun () ->
-           let re = Float.Array.copy fft_re and im = Float.Array.make fft_n 0.0 in
-           Ptrng_signal.Fft.forward_pow2 ~re ~im;
-           Ptrng_signal.Fft.inverse_pow2 ~re ~im));
-    Test.make ~name:"flicker synth 64k"
-      (Staged.stage (fun () ->
-           let model = { Ptrng_noise.Psd_model.h0 = 0.0; hm1 = 1e-6; hm2 = 0.0 } in
-           ignore
-             (Ptrng_noise.Spectral_synth.generate_frac_freq rng ~model ~fs:1.0 (1 lsl 16))));
-    Test.make ~name:"oscillator periods 64k"
-      (Staged.stage (fun () ->
-           let cfg =
-             Ptrng_osc.Oscillator.config ~f0:paper_f0
-               ~phase:{ Ptrng_noise.Psd_model.b_th = 138.0; b_fl = 9.6e5 } ()
-           in
-           ignore (Ptrng_osc.Oscillator.periods rng cfg ~n:(1 lsl 16))));
-    Test.make ~name:"allan overlapping m=64 on 64k"
-      (Staged.stage (fun () ->
-           ignore (Ptrng_stats.Allan.avar_overlapping ~tau0:9.7e-9 ~m:64 white)));
-    Test.make ~name:"s_N realizations N=256 on 64k"
-      (Staged.stage (fun () ->
-           ignore (Ptrng_measure.S_process.realizations ~n:256 jitter)));
-    Test.make ~name:"counter q_counts N=64 on 64k"
-      (Staged.stage (fun () ->
-           ignore (Ptrng_measure.Counter.q_counts ~edges1 ~edges2 ~n:64)));
-    Test.make ~name:"variance-curve fit"
-      (Staged.stage (fun () -> ignore (Ptrng_measure.Fit.fit ~f0:paper_f0 curve_points)));
-    Test.make ~name:"entropy avg (one evaluation)"
-      (Staged.stage (fun () -> ignore (Ptrng_model.Entropy.avg_entropy ~phase_std:1.0)));
-    Test.make ~name:"AIS31 T1-T4 on one block"
-      (Staged.stage (fun () ->
-           ignore (Ptrng_ais31.Procedure_a.t1_monobit block);
-           ignore (Ptrng_ais31.Procedure_a.t2_poker block);
-           ignore (Ptrng_ais31.Procedure_a.t3_runs block);
-           ignore (Ptrng_ais31.Procedure_a.t4_long_run block)));
-  ]
-
-let section_perf () =
-  banner "PERF — Bechamel kernel timings";
-  let open Bechamel in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000
-      ~quota:(Time.second (if quick then 0.25 else 0.5))
-      ~kde:(Some 1000) ()
-  in
-  let raw =
-    Benchmark.all cfg instances (Test.make_grouped ~name:"kernels" (kernel_tests ()))
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> compare a b) rows in
-  Printf.printf "%-44s %16s\n" "kernel" "time per run";
-  List.filter_map
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some (est :: _) ->
-        let txt =
-          if est > 1e6 then Printf.sprintf "%10.3f ms" (est /. 1e6)
-          else if est > 1e3 then Printf.sprintf "%10.3f us" (est /. 1e3)
-          else Printf.sprintf "%10.1f ns" est
-        in
-        Printf.printf "%-44s %16s\n" name txt;
-        Some (name, Tm.Json.num est)
-      | _ ->
-        Printf.printf "%-44s %16s\n" name "n/a";
-        None)
-    rows
-
-(* ------------------------------------------------------------------ *)
 (* LINT: the static analyzer as a measured workload                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Runs ptrng-lint in process over the built .cmt artifacts, so the
-   analyzer's own wall time is a tracked bench section and the finding
-   counts land in the report (and, via the summary line, in the
-   history record).  Roots cover every launch style: "." for an
+   finding counts land in the report.  Roots cover every launch style: "." for an
    artifact tree, ".." for the dune action cwd (_build/default/bench),
    _build/default for `dune exec` from the repo root.  Without
    artifacts the section records skipped=true rather than failing:
@@ -828,7 +699,6 @@ let section_lint () =
     let report, _all = A.Engine.lint ~rules ~baseline loader in
     let summary = A.Report.summary_line report in
     print_endline summary;
-    if Atomic.get lint_summary = None then Atomic.set lint_summary (Some summary);
     [
       ("units", Tm.Json.Int report.A.Report.units);
       ("errors", Tm.Json.Int (A.Report.errors report));
@@ -847,30 +717,19 @@ let section_json (span : Tm.Span.t) =
     try List.assoc span.name (Atomic.get section_results)
     with Not_found -> []
   in
-  let throughput =
-    List.filter_map
-      (fun (key, v) ->
-        match (key, v) with
-        | "periods", Tm.Json.Int periods when span.wall_s > 0.0 ->
-          Some
-            ("periods_per_sec", Tm.Json.num (float_of_int periods /. span.wall_s))
-        | _ -> None)
-      kv
-  in
   Tm.Json.Obj
     ([
        ("name", Tm.Json.String span.name);
        ("wall_s", Tm.Json.num span.wall_s);
        ("alloc_bytes", Tm.Json.num span.alloc_bytes);
+       ("results", Tm.Json.Obj kv);
      ]
-    @ (if throughput = [] then [] else [ ("throughput", Tm.Json.Obj throughput) ])
-    @ [ ("results", Tm.Json.Obj kv) ]
     @
     match span.children with
     | [] -> []
     | children -> [ ("trace", Tm.Json.List (List.map Tm.Span.to_json children)) ])
 
-let write_report ~kernels ~total_s =
+let write_report ~total_s =
   let sections = List.map section_json (Tm.Span.roots ()) in
   let snapshot = Tm.Sink.snapshot_json () in
   let metrics =
@@ -883,12 +742,10 @@ let write_report ~kernels ~total_s =
       [
         ("schema", Tm.Json.String "ptrng-bench/2");
         ("mode", Tm.Json.String mode);
-        ("sha", Tm.Json.String sha);
         ("domains", Tm.Json.Int pool_domains);
         ("log2_periods", Tm.Json.Int log2_periods);
         ("total_s", Tm.Json.num total_s);
         ("sections", Tm.Json.List sections);
-        ("kernels", Tm.Json.Obj kernels);
         ("metrics", metrics);
       ]
   in
@@ -900,35 +757,9 @@ let write_report ~kernels ~total_s =
    with Sys_error e ->
      Printf.eprintf "bench: cannot write report: %s\n" e;
      exit 1);
-  Printf.printf "\nwrote %s\n" out_path;
-  report
-
-(* One history record per bench invocation, appended after the report
-   is on disk.  Unwritable history is a warning, not a failed bench. *)
-let append_history report =
-  match
-    History.record_of_report ~sha ~time_unix:(Unix.time ()) ?lint:(Atomic.get lint_summary)
-      report
-  with
-  | Error e -> Printf.eprintf "bench: cannot summarize report for history: %s\n" e
-  | Ok record -> (
-    match History.append ~path:history_path record with
-    | Ok () -> Printf.printf "appended history record to %s\n" history_path
-    | Error e ->
-      Printf.eprintf "bench: cannot append history %s: %s\n" history_path e)
-
-let print_history_table () =
-  match History.load ~path:history_path with
-  | Error e ->
-    Printf.eprintf "bench: cannot read history %s: %s\n" history_path e;
-    exit 1
-  | Ok records -> Format.printf "%a" History.pp_table records
+  Printf.printf "\nwrote %s\n" out_path
 
 let () =
-  if history_table then begin
-    print_history_table ();
-    exit 0
-  end;
   Tm.Registry.enable ();
   if perfetto_out <> None then Tm.Runtime_profile.start ();
   let t0 = Unix.gettimeofday () in
@@ -951,7 +782,6 @@ let () =
   run_section "scenario" section_scenario;
   run_section "postmortem" section_postmortem;
   run_section "lint" section_lint;
-  let kernels = if no_perf then [] else Tm.Span.with_ ~name:"perf" section_perf in
   let total_s = Unix.gettimeofday () -. t0 in
   Printf.printf "\ntotal bench time: %.1f s\n" total_s;
   Tm.Runtime_profile.stop ();
@@ -962,5 +792,4 @@ let () =
       Tm.Trace_export.write path;
       Printf.printf "wrote perfetto trace %s\n" path
     with Sys_error e -> Printf.eprintf "bench: cannot write trace: %s\n" e));
-  let report = write_report ~kernels ~total_s in
-  append_history report
+  write_report ~total_s

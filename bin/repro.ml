@@ -801,10 +801,20 @@ let with_telemetry opts k =
     Fun.protect ~finally:finish k
   end
 
+(* A domain count: an integer >= 1, so a bad value is a usage error
+   instead of an exception out of Pool.set_default. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let domains_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Worker domains for parallel sections (default: \

@@ -12,9 +12,7 @@ type entry = { name : string; version : int; doc : string }
 let all =
   [
     { name = "bench"; version = 2;
-      doc = "bench report: sections, kernels, telemetry snapshot" };
-    { name = "bench-history"; version = 1;
-      doc = "one-line bench summary appended to the history JSONL" };
+      doc = "bench report: sections, telemetry snapshot" };
     { name = "callgraph"; version = 1;
       doc = "ptrng-lint --graph-out dump: nodes, edges, SCCs" };
     { name = "incident"; version = 1;

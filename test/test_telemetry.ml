@@ -488,6 +488,28 @@ let series_tests =
         Registry.disable ());
   ]
 
+let schema_tests =
+  [
+    Testkit.case "bench reports are ptrng-bench/2, bench-history is gone"
+      (fun () ->
+        Alcotest.(check string) "bench tag" "ptrng-bench/2" (Schema.id "bench");
+        (match Schema.find "bench" with
+        | Some e ->
+          Alcotest.(check string) "bench doc"
+            "bench report: sections, telemetry snapshot" e.Schema.doc
+        | None -> Alcotest.fail "bench unregistered");
+        Testkit.check_true "bench-history unregistered"
+          (Schema.find "bench-history" = None);
+        match Schema.id "bench-history" with
+        | _ -> Alcotest.fail "Schema.id accepted an unregistered name"
+        | exception Invalid_argument _ -> ());
+    Testkit.case "the registry is sorted by name without duplicates"
+      (fun () ->
+        let names = List.map (fun e -> e.Schema.name) Schema.all in
+        Alcotest.(check (list string)) "strictly ascending"
+          (List.sort_uniq compare names) names);
+  ]
+
 let () =
   Alcotest.run "ptrng_telemetry"
     [
@@ -498,4 +520,5 @@ let () =
       ("series", series_tests);
       ("trace", trace_tests);
       ("noop", noop_tests);
+      ("schema", schema_tests);
     ]
