@@ -33,31 +33,45 @@ let create ?(block_bits = Procedure_a.block_bits) ?(alpha_exp = 20) () =
 
 let bounds t = (t.lo, t.hi)
 
-(* -1 = mid-block, 0 = block passed, 1 = block alarmed.  The int
-   spelling keeps the per-bit feed path allocation-free; [feed] wraps
-   it for callers that want the option. *)
+(* Close the block the last bit completed; 1 when it alarmed. *)
+let close_block t =
+  let alarm = t.ones < t.lo || t.ones > t.hi in
+  t.seen <- 0;
+  t.ones <- 0;
+  t.blocks <- t.blocks + 1;
+  if alarm then t.alarms <- t.alarms + 1;
+  Tm.Counter.incr blocks_total;
+  if alarm then Tm.Counter.incr alarms_total;
+  Bool.to_int alarm
+
+(* -1 = mid-block, 0 = block passed, 1 = block alarmed: an int, so the
+   per-bit feed allocates nothing. *)
 let feed_flag t bit =
   t.seen <- t.seen + 1;
   if bit then t.ones <- t.ones + 1;
-  if t.seen < t.block_bits then -1
-  else begin
-    let alarm = t.ones < t.lo || t.ones > t.hi in
-    t.seen <- 0;
-    t.ones <- 0;
-    t.blocks <- t.blocks + 1;
-    if alarm then t.alarms <- t.alarms + 1;
-    Tm.Counter.incr blocks_total;
-    if alarm then Tm.Counter.incr alarms_total;
-    if alarm then 1 else 0
-  end
+  if t.seen < t.block_bits then -1 else close_block t
 
-let feed t bit =
-  match feed_flag t bit with -1 -> None | f -> Some (f = 1)
+(* One block segment at a time: the ones are summed without a branch
+   on the bit, and a block closes where its last bit lands. *)
+let feed_run t bs ~pos ~len =
+  if pos < 0 || len < 0 || pos > Array.length bs - len then
+    invalid_arg "Online.feed_run: range";
+  let i = ref pos and stop = pos + len and alarms = ref 0 in
+  while !i < stop do
+    let room = t.block_bits - t.seen in
+    let seg = if stop - !i < room then stop - !i else room in
+    let ones = ref t.ones in
+    for j = !i to !i + seg - 1 do
+      ones := !ones + Bool.to_int (Array.unsafe_get bs j)
+    done;
+    t.ones <- !ones;
+    t.seen <- t.seen + seg;
+    i := !i + seg;
+    if t.seen >= t.block_bits then alarms := !alarms + close_block t
+  done;
+  !alarms
 
 let blocks t = t.blocks
 let alarms t = t.alarms
 
-let scan t bits =
-  let alarms0 = t.alarms in
-  Array.iter (fun b -> ignore (feed t b)) bits;
-  t.alarms - alarms0
+let scan t bits = feed_run t bits ~pos:0 ~len:(Array.length bits)

@@ -31,16 +31,18 @@ val bounds : t -> int * int
 (** Inclusive pass interval [(lo, hi)] for the ones count of one
     block; a count outside it is an alarm. *)
 
-val feed : t -> bool -> bool option
-(** Feed one bit.  [None] mid-block; [Some alarm] when this bit
-    completed a block ([true] = the block's ones count left
-    {!bounds}).  Allocates the [Some] at block boundaries; per-bit hot
-    loops should use {!feed_flag}. *)
-
 val feed_flag : t -> bool -> int
-(** As {!feed}, but the verdict is an int — [-1] mid-block, [0] block
-    passed, [1] block alarmed — so the per-bit feed path
-    ({!Ptrng_monitor}) stays allocation-free. *)
+(** Feed one bit.  The verdict is an int — [-1] mid-block, [0] when
+    this bit completed a block that passed, [1] when the block's ones
+    count left {!bounds} — so feeding allocates nothing.  The per-bit
+    reference for {!feed_run}. *)
+
+val feed_run : t -> bool array -> pos:int -> len:int -> int
+(** [feed_run t bs ~pos ~len] feeds [bs.(pos .. pos+len-1)] and returns
+    the number of blocks it completed that alarmed.  It leaves the state
+    and the telemetry counters exactly as [len] calls of {!feed_flag}
+    would, with no branch on the bit value.
+    @raise Invalid_argument if the range is not inside [bs]. *)
 
 val blocks : t -> int
 (** Completed blocks so far. *)

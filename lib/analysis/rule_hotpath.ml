@@ -60,10 +60,10 @@ let default_manifest =
         "Ptrng_prng.Gaussian.fill_fa";
         "Ptrng_monitor.Rn_estimator.feed_many";
         "Ptrng_monitor.Monitor.feed_jitter_chunk";
-        "Ptrng_monitor.Monitor.feed_bit";
+        "Ptrng_monitor.Monitor.feed_bits";
         "Ptrng_monitor.Flight_recorder.record_jitter";
         "Ptrng_monitor.Flight_recorder.record_jitter_chunk";
-        "Ptrng_monitor.Flight_recorder.record_bit";
+        "Ptrng_monitor.Flight_recorder.record_bits";
         "Ptrng_monitor.Flight_recorder.record_window";
         "Ptrng_monitor.Flight_recorder.record_transition";
         "Ptrng_monitor.Flight_recorder.tick_window";
@@ -74,8 +74,9 @@ let default_manifest =
           "runs once per fit_stride samples (default thousands): refits \
            the r_N regression, updates gauges/series and emits one event" );
         ( "Ptrng_monitor.Monitor.close_window",
-          "runs once per window (8192 bits), not per sample; builds the \
-           chart point and health snapshot" );
+          "runs once per chart window (bit_window bits: 512 by default, \
+           128 in the scenarios), not per bit; builds the chart point and \
+           health snapshot" );
         ( "Ptrng_monitor.Flight_recorder.freeze",
           "runs once per incident; serializes the rings into a bundle" );
         ( "Ptrng_monitor.Flight_recorder.note_trigger",
@@ -139,7 +140,8 @@ let safe_externs =
     "Bytes.blit"; "Bytes.unsafe_blit"; "Bytes.fill";
     "String.length"; "String.get"; "String.unsafe_get";
     "Char.code"; "Char.chr"; "Char.unsafe_chr";
-    (* conversions that stay immediate *)
+    (* conversions that stay immediate ([Bool.to_int] is [%identity]) *)
+    "Bool.to_int";
     "Int64.to_int"; "Int32.to_int"; "Nativeint.to_int";
     (* Boxed-number arithmetic: classic cmmgen unboxes int64/int32/
        nativeint/float locals whose producers and consumers are both

@@ -149,20 +149,41 @@ let record_jitter t x =
   FA.unsafe_set t.jr (t.j_total mod t.cfg.jitter_capacity) x;
   t.j_total <- t.j_total + 1
 
+(* Both chunk records: only the newest [capacity] values of a long
+   chunk can survive, so the rest are skipped; what lands is at most two
+   contiguous ranges of the ring, and the ring ends in the state a
+   per-value push leaves. *)
 let record_jitter_chunk t buf ~len =
   if len < 0 || len > FA.length buf then
     invalid_arg "Flight_recorder.record_jitter_chunk: len";
   let cap = t.cfg.jitter_capacity in
-  for i = 0 to len - 1 do
-    FA.unsafe_set t.jr ((t.j_total + i) mod cap) (FA.unsafe_get buf i)
-  done;
+  let skip = if len > cap then len - cap else 0 in
+  let n = len - skip in
+  let head = (t.j_total + skip) mod cap in
+  let first = if n < cap - head then n else cap - head in
+  FA.blit buf skip t.jr head first;
+  FA.blit buf (skip + first) t.jr 0 (n - first);
   t.j_total <- t.j_total + len
 
-let record_bit t b =
-  Bytes.unsafe_set t.br
-    (t.b_total mod t.cfg.bit_capacity)
-    (if b then '1' else '0');
-  t.b_total <- t.b_total + 1
+let record_bits t bs ~pos ~len =
+  if pos < 0 || len < 0 || pos > Array.length bs - len then
+    invalid_arg "Flight_recorder.record_bits: range";
+  let cap = t.cfg.bit_capacity in
+  let skip = if len > cap then len - cap else 0 in
+  let n = len - skip in
+  let head = (t.b_total + skip) mod cap in
+  let first = if n < cap - head then n else cap - head in
+  let src = pos + skip - head in
+  for i = head to head + first - 1 do
+    Bytes.unsafe_set t.br i
+      (Char.unsafe_chr (48 + Bool.to_int (Array.unsafe_get bs (src + i))))
+  done;
+  let src = pos + skip + first in
+  for i = 0 to n - first - 1 do
+    Bytes.unsafe_set t.br i
+      (Char.unsafe_chr (48 + Bool.to_int (Array.unsafe_get bs (src + i))))
+  done;
+  t.b_total <- t.b_total + len
 
 let record_window t ~index ~alarms ~min_entropy ~ewma ~cusum_pos ~r_n ~severity
     =

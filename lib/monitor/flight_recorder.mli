@@ -70,10 +70,12 @@ val record_jitter : t -> float -> unit
 (** Push one raw jitter sample into the jitter ring. *)
 
 val record_jitter_chunk : t -> floatarray -> len:int -> unit
-(** Push [buf.(0 .. len-1)] into the jitter ring in one pass. *)
+(** Push [buf.(0 .. len-1)] into the jitter ring, as at most two blits.
+    The ring ends in the state [len] calls of {!record_jitter} leave. *)
 
-val record_bit : t -> bool -> unit
-(** Push one sampled bit into the bit ring. *)
+val record_bits : t -> bool array -> pos:int -> len:int -> unit
+(** Push [bs.(pos .. pos+len-1)] into the bit ring.
+    @raise Invalid_argument if the range is not inside [bs]. *)
 
 val record_window :
   t ->

@@ -502,31 +502,41 @@ let close_window t =
   t.win_ones <- 0;
   t.win_alarms <- 0
 
-let feed_bit_unlocked t b =
-  (match t.recorder with
-  | Some r -> Flight_recorder.record_bit r b
-  | None -> ());
-  t.bits <- t.bits + 1;
-  t.win_bits <- t.win_bits + 1;
-  if b then t.win_ones <- t.win_ones + 1;
-  (* Flag-returning feeds: the record/option verdicts of
-     [monitor_feed]/[feed] would be a heap block per bit here (R7). *)
-  let flags = Ptrng_sp90b.Health.monitor_feed_flags t.sp b in
-  if flags land 1 <> 0 then t.win_alarms <- t.win_alarms + 1;
-  if flags land 2 <> 0 then t.win_alarms <- t.win_alarms + 1;
-  if Ptrng_ais31.Online.feed_flag t.ais b = 1 then
-    t.win_alarms <- t.win_alarms + 1;
-  if t.win_bits >= t.cfg.bit_window then close_window t
+(* One segment per call, ending at or before the next window boundary:
+   one recorder copy, one ones count and one run through each bit test,
+   then [close_window] exactly where a per-bit feed would run it, so an
+   incident freezes the same rings. *)
+let feed_bits_unlocked t bs =
+  let n = Array.length bs and pos = ref 0 in
+  while !pos < n do
+    let room = t.cfg.bit_window - t.win_bits in
+    let len = if n - !pos < room then n - !pos else room in
+    (match t.recorder with
+    | Some r -> Flight_recorder.record_bits r bs ~pos:!pos ~len
+    | None -> ());
+    let ones = ref 0 in
+    for i = !pos to !pos + len - 1 do
+      ones := !ones + Bool.to_int (Array.unsafe_get bs i)
+    done;
+    t.bits <- t.bits + len;
+    t.win_bits <- t.win_bits + len;
+    t.win_ones <- t.win_ones + !ones;
+    t.win_alarms <-
+      t.win_alarms
+      + Ptrng_sp90b.Health.monitor_feed_run t.sp bs ~pos:!pos ~len
+      + Ptrng_ais31.Online.feed_run t.ais bs ~pos:!pos ~len;
+    pos := !pos + len;
+    if t.win_bits >= t.cfg.bit_window then close_window t
+  done
 
 let feed_jitter t x = Mutex.protect t.lock (fun () -> feed_jitter_unlocked t x)
 
 let feed_jitter_array t xs =
   Mutex.protect t.lock (fun () -> Array.iter (feed_jitter_unlocked t) xs)
 
-(* The two per-chunk/per-bit entries take the lock by hand:
-   [Mutex.protect] would build a fresh closure over [t]/[buf]/[len] on
-   every call, and these are the only monitor entries on the
-   zero-allocation hot path (R7). *)
+(* The two chunk entries take the lock by hand: [Mutex.protect] would
+   build a fresh closure over [t]/[buf]/[len] on every call, and these
+   are the only monitor entries on the zero-allocation hot path (R7). *)
 let feed_jitter_chunk t buf ~len =
   Mutex.lock t.lock;
   (try
@@ -544,16 +554,13 @@ let feed_jitter_chunk t buf ~len =
      raise e);
   Mutex.unlock t.lock
 
-let feed_bit t b =
+let feed_bits t bs =
   Mutex.lock t.lock;
-  (try feed_bit_unlocked t b
+  (try feed_bits_unlocked t bs
    with e ->
      Mutex.unlock t.lock;
      raise e);
   Mutex.unlock t.lock
-
-let feed_bits t bs =
-  Mutex.protect t.lock (fun () -> Array.iter (feed_bit_unlocked t) bs)
 
 type snapshot = {
   t_s : float;

@@ -110,12 +110,11 @@ val feed_jitter_chunk : t -> Float.Array.t -> len:int -> unit
     {!feed_jitter}.
     @raise Invalid_argument if [len] exceeds the buffer. *)
 
-val feed_bit : t -> bool -> unit
-(** Feed one sampled output bit through the health tests, charts and
-    entropy window. *)
-
 val feed_bits : t -> bool array -> unit
-(** Feed a chunk of bits under one lock acquisition. *)
+(** Feed a chunk of sampled output bits through the health tests,
+    charts and entropy window under one lock acquisition.  The chunk is
+    handled in runs that end at chart-window boundaries; every output
+    equals that of feeding the bits one at a time, whatever the split. *)
 
 type transition = {
   tr_window : int;          (** Chart windows closed when it happened. *)

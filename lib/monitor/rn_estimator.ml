@@ -76,39 +76,120 @@ let feed t x =
     done
   end
 
-(* The slot update of [feed_slot], spelled out inline: a call would box
-   the sample once per slot per sample on the classic compiler, and
-   this is the live monitor's streaming hot loop. *)
+(* The end of a half for slot [s], out of line: the half's sum is read
+   from [accs], and the realization is handed to its window through
+   the same cell, so no float crosses a call. *)
+let[@inline never] complete_half t s =
+  let acc = FA.unsafe_get t.accs s in
+  let first = FA.unsafe_get t.first_half s in
+  if Float.is_nan first then FA.unsafe_set t.first_half s acc
+  else begin
+    FA.unsafe_set t.accs s (acc -. first);
+    Window.push_from (Array.unsafe_get t.windows s) t.accs s;
+    FA.unsafe_set t.first_half s nan
+  end;
+  FA.unsafe_set t.accs s 0.0;
+  Array.unsafe_set t.filled s 0
+
+(* [feed_many] runs the chunk once per group of four slots (then once
+   per remaining slot).  Each run adds the finite samples from [i] on
+   until [r] of them are in or the chunk ends, with the sums in locals
+   and no call inside, so they stay in registers; it stores the sums
+   and fill counts back and returns where it stopped.  Slots are
+   independent and each one still adds the finite samples in stream
+   order, so every sum is bitwise the one [feed] computes. *)
+
+let run_four t buf ~len s i r =
+  let accs = t.accs in
+  let a0 = ref (FA.unsafe_get accs s) and a1 = ref (FA.unsafe_get accs (s + 1)) in
+  let a2 = ref (FA.unsafe_get accs (s + 2)) and a3 = ref (FA.unsafe_get accs (s + 3)) in
+  let i = ref i and m = ref 0 in
+  while !m < r && !i < len do
+    let x = FA.unsafe_get buf !i in
+    if Float.is_finite x then begin
+      a0 := !a0 +. x;
+      a1 := !a1 +. x;
+      a2 := !a2 +. x;
+      a3 := !a3 +. x;
+      incr m
+    end;
+    incr i
+  done;
+  FA.unsafe_set accs s !a0;
+  FA.unsafe_set accs (s + 1) !a1;
+  FA.unsafe_set accs (s + 2) !a2;
+  FA.unsafe_set accs (s + 3) !a3;
+  let filled = t.filled in
+  Array.unsafe_set filled s (Array.unsafe_get filled s + !m);
+  Array.unsafe_set filled (s + 1) (Array.unsafe_get filled (s + 1) + !m);
+  Array.unsafe_set filled (s + 2) (Array.unsafe_get filled (s + 2) + !m);
+  Array.unsafe_set filled (s + 3) (Array.unsafe_get filled (s + 3) + !m);
+  !i
+
+let run_one t buf ~len s i r =
+  let a = ref (FA.unsafe_get t.accs s) in
+  let i = ref i and m = ref 0 in
+  while !m < r && !i < len do
+    let x = FA.unsafe_get buf !i in
+    if Float.is_finite x then begin
+      a := !a +. x;
+      incr m
+    end;
+    incr i
+  done;
+  FA.unsafe_set t.accs s !a;
+  Array.unsafe_set t.filled s (Array.unsafe_get t.filled s + !m);
+  !i
+
+(* Finite samples left before slot [j]'s half ends. *)
+let[@inline] room t j = Array.unsafe_get t.ns j - Array.unsafe_get t.filled j
+
+let[@inline] close_if_full t j =
+  if Array.unsafe_get t.filled j = Array.unsafe_get t.ns j then complete_half t j
+
+(* [feed_four] and [feed_one] return the finite samples the chunk held. *)
+
+let feed_four t buf ~len s =
+  let i = ref 0 and fed = ref 0 in
+  while !i < len do
+    let r = room t s in
+    let r = if room t (s + 1) < r then room t (s + 1) else r in
+    let r = if room t (s + 2) < r then room t (s + 2) else r in
+    let r = if room t (s + 3) < r then room t (s + 3) else r in
+    let before = Array.unsafe_get t.filled s in
+    i := run_four t buf ~len s !i r;
+    fed := !fed + Array.unsafe_get t.filled s - before;
+    close_if_full t s;
+    close_if_full t (s + 1);
+    close_if_full t (s + 2);
+    close_if_full t (s + 3)
+  done;
+  !fed
+
+let feed_one t buf ~len s =
+  let i = ref 0 and fed = ref 0 in
+  while !i < len do
+    let before = Array.unsafe_get t.filled s in
+    i := run_one t buf ~len s !i (room t s);
+    fed := !fed + Array.unsafe_get t.filled s - before;
+    close_if_full t s
+  done;
+  !fed
+
 let feed_many t buf ~len =
   if len < 0 || len > FA.length buf then
     invalid_arg "Rn_estimator.feed_many: bad len";
   let k = Array.length t.ns in
-  let accs = t.accs and filled = t.filled and first_half = t.first_half in
-  let ns = t.ns and windows = t.windows in
-  for i = 0 to len - 1 do
-    let x = FA.unsafe_get buf i in
-    if Float.is_finite x then begin
-      t.samples <- t.samples + 1;
-      for s = 0 to k - 1 do
-        let acc = FA.unsafe_get accs s +. x in
-        let fl = Array.unsafe_get filled s + 1 in
-        if fl = Array.unsafe_get ns s then begin
-          let first = FA.unsafe_get first_half s in
-          if Float.is_nan first then FA.unsafe_set first_half s acc
-          else begin
-            Window.push (Array.unsafe_get windows s) (acc -. first);
-            FA.unsafe_set first_half s nan
-          end;
-          FA.unsafe_set accs s 0.0;
-          Array.unsafe_set filled s 0
-        end
-        else begin
-          FA.unsafe_set accs s acc;
-          Array.unsafe_set filled s fl
-        end
-      done
-    end
-  done
+  let fed = ref 0 and s = ref 0 in
+  while !s + 4 <= k do
+    fed := feed_four t buf ~len !s;
+    s := !s + 4
+  done;
+  while !s < k do
+    fed := feed_one t buf ~len !s;
+    incr s
+  done;
+  t.samples <- t.samples + !fed
 
 let samples t = t.samples
 

@@ -16,6 +16,11 @@ val push : t -> float -> unit
 (** Append one sample, evicting the oldest when full.  Non-finite
     values are dropped. *)
 
+val push_from : t -> floatarray -> int -> unit
+(** [push_from t src i] is [push t src.(i)], with no float crossing the
+    call: the allocation-free spelling for a caller whose sample sits in
+    a floatarray. *)
+
 val count : t -> int
 (** Samples currently held (grows to [capacity], then stays). *)
 

@@ -108,10 +108,10 @@ let apt_alarms_total =
     "ptrng_sp90b_apt_alarms_total"
 
 (* The combined continuous monitor: one RCT and one APT over the same
-   stream, with the telemetry counters fed per sample — the single
-   code path shared by the batch [scan] below and the live
-   [Ptrng_monitor] subsystem (a long-running daemon must not wait for
-   a batch boundary to expose its alarm totals). *)
+   stream, with the telemetry counters fed per sample or per run — the
+   code shared by the batch [scan] below and the live [Ptrng_monitor]
+   subsystem (a long-running daemon must not wait for a batch boundary
+   to expose its alarm totals). *)
 
 type monitor = {
   m_rct : rct;
@@ -120,8 +120,6 @@ type monitor = {
   mutable m_rct_alarms : int;
   mutable m_apt_alarms : int;
 }
-
-type alarm = { rct_alarm : bool; apt_alarm : bool }
 
 let monitor_create ~cutoff_rct ~cutoff_apt ~window =
   {
@@ -137,10 +135,8 @@ let monitor_of_entropy ?alpha_exp ?(window = 1024) ~h () =
   let cutoff_apt = apt_cutoff ?alpha_exp ~window ~h () in
   monitor_create ~cutoff_rct ~cutoff_apt ~window
 
-(* Bit 0 = RCT alarm, bit 1 = APT alarm.  The int result is the
-   per-bit spelling: live monitors feed every raw bit through here,
-   and the [alarm] record of [monitor_feed] would be a fresh heap
-   block per bit (R7). *)
+(* Bit 0 = RCT alarm, bit 1 = APT alarm: an int, so the per-bit feed
+   allocates nothing (R7). *)
 let monitor_feed_flags t sample =
   let rct_alarm = rct_feed t.m_rct sample in
   let apt_alarm = apt_feed t.m_apt sample in
@@ -154,14 +150,71 @@ let monitor_feed_flags t sample =
   end;
   (if rct_alarm then 1 else 0) lor (if apt_alarm then 2 else 0)
 
-let monitor_feed t sample =
-  let flags = monitor_feed_flags t sample in
-  { rct_alarm = flags land 1 <> 0; apt_alarm = flags land 2 <> 0 }
+(* The RCT over a run with no branch on the bit value: a repeat keeps
+   the count (mask all ones), a change restarts it at 1 (mask 0). *)
+let rct_run t bs ~pos ~len =
+  let current = ref t.current and count = ref t.count and alarms = ref 0 in
+  let cutoff = t.cutoff in
+  for i = pos to pos + len - 1 do
+    let s = Bool.to_int (Array.unsafe_get bs i) in
+    count := (!count land -Bool.to_int (s = !current)) + 1;
+    current := s;
+    alarms := !alarms + Bool.to_int (!count >= cutoff)
+  done;
+  t.current <- !current;
+  t.count <- !count;
+  !alarms
+
+(* The APT over a run, one window segment at a time: the first bit of a
+   window is its reference, the rest add their matches without a
+   branch, and the cutoff is checked where a window closes. *)
+let apt_run t bs ~pos ~len =
+  let i = ref pos and stop = pos + len and alarms = ref 0 in
+  while !i < stop do
+    if t.reference < 0 then begin
+      t.reference <- Bool.to_int (Array.unsafe_get bs !i);
+      t.seen <- 1;
+      t.matches <- 1;
+      incr i
+    end
+    else begin
+      let room = t.window - t.seen in
+      let seg = if stop - !i < room then stop - !i else room in
+      let reference = t.reference and matches = ref t.matches in
+      for j = !i to !i + seg - 1 do
+        matches :=
+          !matches + Bool.to_int (Bool.to_int (Array.unsafe_get bs j) = reference)
+      done;
+      t.matches <- !matches;
+      t.seen <- t.seen + seg;
+      i := !i + seg;
+      if t.seen >= t.window then begin
+        alarms := !alarms + Bool.to_int (t.matches >= t.a_cutoff);
+        t.reference <- -1
+      end
+    end
+  done;
+  !alarms
+
+let monitor_feed_run t bs ~pos ~len =
+  if pos < 0 || len < 0 || pos > Array.length bs - len then
+    invalid_arg "Health.monitor_feed_run: range";
+  let rct_alarms = rct_run t.m_rct bs ~pos ~len in
+  let apt_alarms = apt_run t.m_apt bs ~pos ~len in
+  t.m_samples <- t.m_samples + len;
+  t.m_rct_alarms <- t.m_rct_alarms + rct_alarms;
+  t.m_apt_alarms <- t.m_apt_alarms + apt_alarms;
+  if !Tm.on then begin
+    Tm.Counter.add samples_scanned_total len;
+    Tm.Counter.add rct_alarms_total rct_alarms;
+    Tm.Counter.add apt_alarms_total apt_alarms
+  end;
+  rct_alarms + apt_alarms
 
 let monitor_samples t = t.m_samples
 let monitor_alarms t = (t.m_rct_alarms, t.m_apt_alarms)
 
 let scan ~cutoff_rct ~cutoff_apt ~window bits =
   let m = monitor_create ~cutoff_rct ~cutoff_apt ~window in
-  Array.iter (fun b -> ignore (monitor_feed m b)) bits;
+  ignore (monitor_feed_run m bits ~pos:0 ~len:(Array.length bits));
   monitor_alarms m

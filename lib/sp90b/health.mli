@@ -48,9 +48,6 @@ type monitor
     consumer (the live {!Ptrng_monitor} subsystem, a future daemon)
     exposes fresh alarm totals without batch boundaries. *)
 
-type alarm = { rct_alarm : bool; apt_alarm : bool }
-(** Per-sample alarm verdicts of the two tests. *)
-
 val monitor_create : cutoff_rct:int -> cutoff_apt:int -> window:int -> monitor
 (** Fresh combined monitor from explicit cutoffs; see {!rct_cutoff}
     and {!apt_cutoff}. *)
@@ -61,15 +58,19 @@ val monitor_of_entropy :
     min-entropy [h] per bit ([alpha_exp] default 30, [window] default
     1024), as SP 800-90B prescribes. *)
 
-val monitor_feed : monitor -> bool -> alarm
-(** Feed one sample through both tests and the telemetry counters.
-    Allocates the {!alarm} record; per-bit hot loops should use
-    {!monitor_feed_flags}. *)
-
 val monitor_feed_flags : monitor -> bool -> int
-(** As {!monitor_feed}, but the verdict is an int bitmask — bit 0 set
-    on an RCT alarm, bit 1 on an APT alarm — so the per-bit feed path
-    ({!Ptrng_monitor}) stays allocation-free. *)
+(** Feed one sample through both tests and the telemetry counters.  The
+    verdict is an int bitmask — bit 0 set on an RCT alarm, bit 1 on an
+    APT alarm — so feeding allocates nothing.  The per-bit reference
+    for {!monitor_feed_run}. *)
+
+val monitor_feed_run : monitor -> bool array -> pos:int -> len:int -> int
+(** [monitor_feed_run m bs ~pos ~len] feeds [bs.(pos .. pos+len-1)] and
+    returns the number of alarms raised (RCT plus APT).  It leaves the
+    state, the totals and the telemetry counters exactly as [len] calls
+    of {!monitor_feed_flags} would, with no branch on the bit value and
+    the counters added once per run.
+    @raise Invalid_argument if the range is not inside [bs]. *)
 
 val monitor_samples : monitor -> int
 (** Samples fed so far. *)
@@ -79,5 +80,5 @@ val monitor_alarms : monitor -> int * int
 
 val scan : cutoff_rct:int -> cutoff_apt:int -> window:int -> bool array -> int * int
 (** Run both monitors over a recorded stream; returns (rct alarms,
-    apt alarms).  Thin wrapper over {!monitor_create}/{!monitor_feed} —
+    apt alarms).  Thin wrapper over {!monitor_create}/{!monitor_feed_run} —
     the batch and streaming paths are the same code. *)

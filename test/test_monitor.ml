@@ -7,6 +7,11 @@ module Tm = Ptrng_telemetry
 
 let paper_f0 = Ptrng_osc.Pair.paper_f0
 
+let gaussian rng =
+  (* Box-Muller is enough for test data. *)
+  let u1 = Ptrng_prng.Rng.float_pos rng and u2 = Ptrng_prng.Rng.float rng in
+  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
+
 (* ------------------------------------------------------------------ *)
 (* Window                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -50,6 +55,32 @@ let window_tests =
           (M.Window.to_array w = [| 2.0; 3.0; 4.0; 5.0 |]);
         Testkit.check_abs ~tol:1e-12 "last survives the wrap" 5.0
           (M.Window.last w));
+    Testkit.case "statistics are bitwise the oldest-first sums" (fun () ->
+        (* Every head position, before and after the ring wraps: the
+           two-range walk must add in the order of a plain fold. *)
+        let cap = 7 in
+        let w = M.Window.create ~capacity:cap in
+        let rng = Testkit.rng ~seed:5L () in
+        let pushed = ref [] in
+        for step = 1 to 4 * cap do
+          let x = 1e-3 *. gaussian rng in
+          M.Window.push w x;
+          pushed := x :: !pushed;
+          let held = List.filteri (fun i _ -> i < cap) !pushed |> List.rev in
+          let n = float_of_int (List.length held) in
+          let mean = List.fold_left ( +. ) 0.0 held /. n in
+          let var =
+            List.fold_left (fun s x -> s +. ((x -. mean) *. (x -. mean))) 0.0 held
+            /. (n -. 1.0)
+          in
+          let hex = Printf.sprintf "%h" in
+          let name what = Printf.sprintf "%s after %d pushes" what step in
+          Testkit.check_true (name "to_array") (M.Window.to_array w = Array.of_list held);
+          Alcotest.(check string) (name "mean") (hex mean) (hex (M.Window.mean w));
+          if step >= 2 then
+            Alcotest.(check string) (name "variance") (hex var)
+              (hex (M.Window.variance w))
+        done);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -141,11 +172,6 @@ let chart_tests =
 (* ------------------------------------------------------------------ *)
 (* Streaming r_N estimator                                             *)
 (* ------------------------------------------------------------------ *)
-
-let gaussian rng =
-  (* Box-Muller is enough for test data. *)
-  let u1 = Ptrng_prng.Rng.float_pos rng and u2 = Ptrng_prng.Rng.float rng in
-  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
 let rn_tests =
   [
@@ -271,7 +297,7 @@ let feed_white mon rng ~samples ~sigma =
 
 let feed_fair_bits mon rng ~bits =
   for _ = 1 to bits do
-    M.Monitor.feed_bit mon (Ptrng_prng.Rng.bool rng)
+    M.Monitor.feed_bits mon [| Ptrng_prng.Rng.bool rng |]
   done
 
 let monitor_tests =
@@ -299,7 +325,7 @@ let monitor_tests =
         (* A stuck-at-one source: RCT/APT and the online monobit all
            fire, the per-window alarm counts shift, the CUSUM crosses. *)
         for _ = 1 to 4096 do
-          M.Monitor.feed_bit mon true
+          M.Monitor.feed_bits mon [| true |]
         done;
         let s = M.Monitor.snapshot mon in
         Testkit.check_true "rct fired" (s.rct_alarms > 0);
@@ -357,7 +383,7 @@ let monitor_tests =
         Testkit.check_true "healthy before the burst"
           ((M.Monitor.snapshot mon).verdict.status = M.Verdict.Ok);
         for _ = 1 to 1024 do
-          M.Monitor.feed_bit mon true
+          M.Monitor.feed_bits mon [| true |]
         done;
         let s = M.Monitor.snapshot mon in
         Testkit.check_true "burst degrades" (s.verdict.status <> M.Verdict.Ok);
@@ -378,7 +404,7 @@ let monitor_tests =
         feed_white mon rng ~samples:(1 lsl 16) ~sigma:1e-12;
         feed_fair_bits mon rng ~bits:1024;
         for _ = 1 to 1024 do
-          M.Monitor.feed_bit mon true
+          M.Monitor.feed_bits mon [| true |]
         done;
         feed_fair_bits mon rng ~bits:4096;
         let s = M.Monitor.snapshot mon in
@@ -486,8 +512,7 @@ let recorder_tests =
         for i = 0 to 9 do
           M.Flight_recorder.record_jitter r (float_of_int i)
         done;
-        M.Flight_recorder.record_bit r true;
-        M.Flight_recorder.record_bit r false;
+        M.Flight_recorder.record_bits r [| true; false |] ~pos:0 ~len:2;
         fr_trigger ~at_period:10 r;
         Alcotest.(check int) "post_windows = 0 freezes immediately" 1
           (M.Flight_recorder.incident_count r);
@@ -564,6 +589,320 @@ let recorder_tests =
         match Tm.Json.member "schema" summary with
         | Some (Tm.Json.String "ptrng-incident-summary/1") -> ()
         | _ -> Alcotest.fail "summary schema tag missing");
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Chunked feeds against the per-sample references                     *)
+(* ------------------------------------------------------------------ *)
+
+let hex_points e =
+  Array.map
+    (fun (p : Ptrng_measure.Variance_curve.point) ->
+      Printf.sprintf "%d %d %h %h %h" p.n p.neff p.sigma2 p.scaled p.stderr)
+    (M.Rn_estimator.points e)
+
+let check_estimators name ~reference e =
+  Alcotest.(check int) (name ^ ": samples") (M.Rn_estimator.samples reference)
+    (M.Rn_estimator.samples e);
+  Alcotest.(check (array string)) (name ^ ": points") (hex_points reference)
+    (hex_points e)
+
+(* Gaussian jitter with NaN and +-inf scattered through it. *)
+let dirty_jitter rng n =
+  Array.init n (fun _ ->
+      match Ptrng_prng.Rng.int_below rng 64 with
+      | 0 -> nan
+      | 1 -> infinity
+      | 2 -> neg_infinity
+      | _ -> 1e-12 *. gaussian rng)
+
+(* Bit streams of the four shapes the run functions must not care about. *)
+let bit_streams rng n =
+  [
+    ("fair", Array.init n (fun _ -> Ptrng_prng.Rng.bool rng));
+    ("all-ones", Array.make n true);
+    ("alternating", Array.init n (fun i -> i land 1 = 0));
+    ("70%-biased", Array.init n (fun _ -> Ptrng_prng.Rng.float rng < 0.7));
+  ]
+
+(* [f pos len] over consecutive random pieces of [0, n), lengths 0..max. *)
+let random_split rng n ~max f =
+  let pos = ref 0 in
+  while !pos < n do
+    let len = Stdlib.min (n - !pos) (Ptrng_prng.Rng.int_below rng (max + 1)) in
+    f !pos len;
+    pos := !pos + len
+  done
+
+let health_state m =
+  (Ptrng_sp90b.Health.monitor_samples m, Ptrng_sp90b.Health.monitor_alarms m)
+
+let popcount_flags f = (f land 1) + ((f lsr 1) land 1)
+
+let counter name = Tm.Registry.Counter.value (Tm.Registry.Counter.v name)
+
+let health_counters () =
+  List.map counter
+    [
+      "ptrng_sp90b_health_samples_total"; "ptrng_sp90b_rct_alarms_total";
+      "ptrng_sp90b_apt_alarms_total";
+    ]
+
+let test_recorder () =
+  M.Flight_recorder.create
+    ~config:
+      {
+        M.Flight_recorder.jitter_capacity = 7;
+        bit_capacity = 7;
+        window_capacity = 4;
+        post_windows = 0;
+        max_incidents = 64;
+      }
+    ~provenance:fr_prov ()
+
+let freeze_last r =
+  fr_trigger r;
+  let inc =
+    Option.get (M.Flight_recorder.incident r (M.Flight_recorder.incident_count r - 1))
+  in
+  Tm.Json.to_string (M.Flight_recorder.incident_json r inc)
+
+(* A monitor with a recorder small enough that incidents capture only
+   the newest windows, fed ready jitter and then [feed] over an
+   escalating bit stream (fair, stuck, fair, biased, fair). *)
+let escalating_bits rng =
+  let fair n = Array.init n (fun _ -> Ptrng_prng.Rng.bool rng) in
+  Array.concat
+    [
+      fair 1024; Array.make 700 true; fair 1500;
+      Array.init 900 (fun _ -> Ptrng_prng.Rng.float rng < 0.9); fair 1700;
+    ]
+
+let split_monitor ~jitter feed =
+  let mon = M.Monitor.create { (test_config ()) with recovery_windows = 3 } in
+  let r =
+    M.Flight_recorder.create
+      ~config:
+        {
+          M.Flight_recorder.jitter_capacity = 256;
+          bit_capacity = 200;
+          window_capacity = 8;
+          post_windows = 2;
+          max_incidents = 8;
+        }
+      ~provenance:fr_prov ()
+  in
+  M.Monitor.attach_recorder mon r;
+  M.Monitor.feed_jitter_array mon jitter;
+  feed mon;
+  let snap = M.Monitor.snapshot mon in
+  ( { snap with t_s = 0.0 },
+    Tm.Json.to_string (M.Monitor.health_json mon),
+    List.map
+      (fun i -> Tm.Json.to_string (M.Flight_recorder.incident_json r i))
+      (M.Flight_recorder.incidents r) )
+
+let equivalence_tests =
+  [
+    Testkit.case "feed_many is bitwise per-sample feed" (fun () ->
+        let grids =
+          [
+            [| 3 |]; [| 2; 5; 16 |]; [| 4; 8; 16; 64 |]; [| 1; 2; 3; 17; 64 |];
+            [| 1; 2; 3; 5; 8; 13; 21; 34 |];
+          ]
+        in
+        List.iter
+          (fun ns ->
+            let name = Printf.sprintf "%d slots" (Array.length ns) in
+            let create () =
+              M.Rn_estimator.create ~ns ~realizations:16 ~min_realizations:2
+                ~f0:1.0 ()
+            in
+            let reference = create () and chunked = create () in
+            let rng = Testkit.rng ~seed:(Int64.of_int (Array.length ns)) () in
+            let buf = Float.Array.make 8192 nan in
+            let lens =
+              [ 0; 1; 15; 16; 17; 4095; 8192 ]
+              @ List.init 24 (fun _ -> Ptrng_prng.Rng.int_below rng 300)
+            in
+            List.iter
+              (fun len ->
+                let xs = dirty_jitter rng len in
+                List.iter (M.Rn_estimator.feed reference) (Array.to_list xs);
+                (* The tail past [len] holds stale values that must not
+                   be read. *)
+                Array.iteri (Float.Array.set buf) xs;
+                M.Rn_estimator.feed_many chunked buf ~len;
+                check_estimators (Printf.sprintf "%s, len %d" name len)
+                  ~reference chunked)
+              lens;
+            (* The half-sums carried between chunks: per-sample feeding
+               from here on keeps both in step. *)
+            Array.iter
+              (fun x ->
+                M.Rn_estimator.feed reference x;
+                M.Rn_estimator.feed chunked x)
+              (dirty_jitter rng 3000);
+            check_estimators (name ^ ", after per-sample tail") ~reference
+              chunked)
+          grids);
+    Testkit.case "Health.monitor_feed_run is the per-bit feed" (fun () ->
+        Tm.Registry.enable ();
+        Fun.protect ~finally:Tm.Registry.disable (fun () ->
+            let rng = Testkit.rng ~seed:31L () in
+            List.iter
+              (fun (name, bs) ->
+                let create () =
+                  Ptrng_sp90b.Health.monitor_create ~cutoff_rct:6 ~cutoff_apt:44
+                    ~window:64
+                in
+                let per_bit = create () and run = create () in
+                let c0 = health_counters () in
+                let expected =
+                  Array.fold_left
+                    (fun acc b ->
+                      acc
+                      + popcount_flags
+                          (Ptrng_sp90b.Health.monitor_feed_flags per_bit b))
+                    0 bs
+                in
+                let c1 = health_counters () in
+                let got = ref 0 in
+                random_split rng (Array.length bs) ~max:150 (fun pos len ->
+                    got :=
+                      !got + Ptrng_sp90b.Health.monitor_feed_run run bs ~pos ~len);
+                let c2 = health_counters () in
+                Alcotest.(check int) (name ^ ": alarm sum") expected !got;
+                Testkit.check_true (name ^ ": some alarm or a fair stream")
+                  (expected > 0 || name = "fair" || name = "alternating");
+                Testkit.check_true (name ^ ": totals")
+                  (health_state per_bit = health_state run);
+                Alcotest.(check (list int)) (name ^ ": telemetry counters")
+                  (List.map2 ( - ) c1 c0) (List.map2 ( - ) c2 c1);
+                Array.iteri
+                  (fun i b ->
+                    Alcotest.(check int)
+                      (Printf.sprintf "%s: later bit %d" name i)
+                      (Ptrng_sp90b.Health.monitor_feed_flags per_bit b)
+                      (Ptrng_sp90b.Health.monitor_feed_flags run b))
+                  (Array.append (Array.make 20 true) (Array.sub bs 0 500)))
+              (bit_streams rng 5000)));
+    Testkit.case "Online.feed_run is the per-bit feed" (fun () ->
+        let rng = Testkit.rng ~seed:32L () in
+        List.iter
+          (fun (name, bs) ->
+            let create () = Ptrng_ais31.Online.create ~block_bits:128 () in
+            let per_bit = create () and run = create () in
+            let expected =
+              Array.fold_left
+                (fun acc b ->
+                  acc + Bool.to_int (Ptrng_ais31.Online.feed_flag per_bit b = 1))
+                0 bs
+            in
+            let got = ref 0 in
+            random_split rng (Array.length bs) ~max:300 (fun pos len ->
+                got := !got + Ptrng_ais31.Online.feed_run run bs ~pos ~len);
+            Alcotest.(check int) (name ^ ": alarm sum") expected !got;
+            Alcotest.(check (pair int int)) (name ^ ": blocks, alarms")
+              (Ptrng_ais31.Online.blocks per_bit, Ptrng_ais31.Online.alarms per_bit)
+              (Ptrng_ais31.Online.blocks run, Ptrng_ais31.Online.alarms run);
+            Alcotest.(check int) (name ^ ": scan")
+              expected (Ptrng_ais31.Online.scan (create ()) bs);
+            Array.iteri
+              (fun i b ->
+                Alcotest.(check int)
+                  (Printf.sprintf "%s: later bit %d" name i)
+                  (Ptrng_ais31.Online.feed_flag per_bit b)
+                  (Ptrng_ais31.Online.feed_flag run b))
+              (Array.sub bs 0 500))
+          (bit_streams rng 5003));
+    Testkit.case "recorder rings take chunks as per-value pushes" (fun () ->
+        let rng = Testkit.rng ~seed:33L () in
+        let per_value = test_recorder () and chunked = test_recorder () in
+        let buf = Float.Array.make 64 nan in
+        let bits_seen = Buffer.create 256 in
+        (* Below, equal to and above the capacity of 7, from starts that
+           wrap. *)
+        List.iter
+          (fun len ->
+            let xs = Array.init len (fun _ -> Ptrng_prng.Rng.float rng) in
+            Array.iter (M.Flight_recorder.record_jitter per_value) xs;
+            Array.iteri (Float.Array.set buf) xs;
+            M.Flight_recorder.record_jitter_chunk chunked buf ~len;
+            let pos = Ptrng_prng.Rng.int_below rng 5 in
+            let bs = Array.init (pos + len + 3) (fun _ -> Ptrng_prng.Rng.bool rng) in
+            for i = pos to pos + len - 1 do
+              M.Flight_recorder.record_bits per_value bs ~pos:i ~len:1;
+              Buffer.add_char bits_seen (if bs.(i) then '1' else '0')
+            done;
+            M.Flight_recorder.record_bits chunked bs ~pos ~len;
+            let bundle = freeze_last chunked in
+            Alcotest.(check string) (Printf.sprintf "bundle after len %d" len)
+              (freeze_last per_value) bundle;
+            let total = Buffer.length bits_seen in
+            let kept = Stdlib.min total 7 in
+            let capture =
+              Option.get (Tm.Json.member "capture" (Tm.Json.of_string bundle))
+            in
+            Testkit.check_true (Printf.sprintf "bits after len %d" len)
+              (Tm.Json.member "bits" capture
+              = Some (Tm.Json.String (Buffer.sub bits_seen (total - kept) kept))))
+          [ 3; 7; 2; 15; 0; 6; 7; 1; 20; 5; 13 ];
+        Alcotest.check_raises "bit range outside the array"
+          (Invalid_argument "Flight_recorder.record_bits: range") (fun () ->
+            M.Flight_recorder.record_bits chunked [| true |] ~pos:1 ~len:1));
+    Testkit.case "feed_bits splits are invisible" (fun () ->
+        let rng = Testkit.rng ~seed:34L () in
+        let jitter = Array.init (1 lsl 14) (fun _ -> 1e-12 *. gaussian rng) in
+        let bits = escalating_bits rng in
+        let n = Array.length bits in
+        let window = (test_config ()).bit_window in
+        let whole = split_monitor ~jitter (fun mon -> M.Monitor.feed_bits mon bits) in
+        let (_, _, incidents) = whole in
+        Testkit.check_true "the stream escalates and recovers"
+          (List.length incidents >= 2);
+        let pieces name split =
+          let got =
+            split_monitor ~jitter (fun mon ->
+                split (fun pos len -> M.Monitor.feed_bits mon (Array.sub bits pos len)))
+          in
+          let (s, h, i) = got and (s0, h0, i0) = whole in
+          Testkit.check_true (name ^ ": snapshot") (compare s0 s = 0);
+          Alcotest.(check string) (name ^ ": /health") h0 h;
+          Alcotest.(check (list string)) (name ^ ": incidents") i0 i
+        in
+        pieces "1-bit arrays" (fun f -> for pos = 0 to n - 1 do f pos 1 done);
+        pieces "random straddling pieces" (fun f ->
+            random_split rng n ~max:(2 * window) f);
+        pieces "3 x bit_window" (fun f ->
+            let pos = ref 0 in
+            while !pos < n do
+              let len = Stdlib.min (3 * window) (n - !pos) in
+              f !pos len;
+              pos := !pos + len
+            done));
+  ]
+
+let allocation_tests =
+  [
+    Testkit.case "feed_bits inside a window allocates nothing" (fun () ->
+        let mon = M.Monitor.create (test_config ()) in
+        M.Monitor.attach_recorder mon (test_recorder ());
+        let rng = Testkit.rng ~seed:35L () in
+        let bs = Array.init 40 (fun _ -> Ptrng_prng.Rng.bool rng) in
+        M.Monitor.feed_bits mon (Array.sub bs 0 10);
+        Testkit.check_abs ~tol:0.0 "minor words" 0.0
+          (Testkit.minor_words (fun () -> M.Monitor.feed_bits mon bs)));
+    Testkit.case "feed_jitter_chunk short of a refit allocates nothing"
+      (fun () ->
+        let mon = M.Monitor.create (test_config ()) in
+        M.Monitor.attach_recorder mon (test_recorder ());
+        let rng = Testkit.rng ~seed:36L () in
+        let buf = Float.Array.init 1000 (fun _ -> 1e-12 *. gaussian rng) in
+        M.Monitor.feed_jitter_chunk mon buf ~len:1000;
+        Testkit.check_abs ~tol:0.0 "minor words" 0.0
+          (Testkit.minor_words (fun () ->
+               M.Monitor.feed_jitter_chunk mon buf ~len:1000)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -732,5 +1071,7 @@ let () =
       ("verdict", verdict_tests);
       ("monitor", monitor_tests);
       ("flight_recorder", recorder_tests);
+      ("equivalence", equivalence_tests);
+      ("allocation", allocation_tests);
       ("http", http_tests);
     ]
