@@ -399,9 +399,8 @@ let section_variance_curve () =
   let jitter =
     Ptrng_exec.Pool.parallel_init_floats ~rng
       ~fill:(fun child ~offset ~len out ->
-        let g = Ptrng_prng.Gaussian.create child in
         for k = offset to offset + len - 1 do
-          out.(k) <- sigma *. Ptrng_prng.Gaussian.draw g
+          out.(k) <- sigma *. Ptrng_prng.Gaussian.draw child
         done)
       len
   in

@@ -31,7 +31,6 @@ let create ?(block_bits = Procedure_a.block_bits) ?(alpha_exp = 20) () =
   let hi = int_of_float (Float.floor (half +. d)) in
   { block_bits; lo; hi; seen = 0; ones = 0; blocks = 0; alarms = 0 }
 
-let bounds t = (t.lo, t.hi)
 
 (* Close the block the last bit completed; 1 when it alarmed. *)
 let close_block t =

@@ -27,14 +27,10 @@ val create : ?block_bits:int -> ?alpha_exp:int -> unit -> t
     the two-sided false-alarm probability [2^-alpha_exp] per block.
     @raise Invalid_argument if [block_bits < 64] or [alpha_exp <= 0]. *)
 
-val bounds : t -> int * int
-(** Inclusive pass interval [(lo, hi)] for the ones count of one
-    block; a count outside it is an alarm. *)
-
 val feed_flag : t -> bool -> int
 (** Feed one bit.  The verdict is an int — [-1] mid-block, [0] when
     this bit completed a block that passed, [1] when the block's ones
-    count left {!bounds} — so feeding allocates nothing.  The per-bit
+    count left its pass interval — so feeding allocates nothing.  The per-bit
     reference for {!feed_run}. *)
 
 val feed_run : t -> bool array -> pos:int -> len:int -> int

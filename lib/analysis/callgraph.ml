@@ -7,7 +7,8 @@
    through the per-unit stamp table (same-unit binding), a [Path.Pdot]
    through module-alias expansion plus path normalization (so the
    mangled [Lib__Mod.f], the alias [Lib.Mod.f] and a local
-   [module FA = Float.Array] all land on one canonical name).
+   [module FA = Float.Array] or [let module FA = Float.Array in] all
+   land on one canonical name).
    Unresolved references — stdlib, externals, function-local lets — are
    classified so effect rules can tell them apart.
 
@@ -39,7 +40,7 @@ type node = {
    every binding that became a node to the node name; [aliases] maps
    the unique name of every module binding to its canonical path —
    both structure modules ([module M = struct]) and plain aliases
-   ([module FA = Float.Array]). *)
+   ([module FA = Float.Array], [let module FA = Float.Array in]). *)
 type resolver = {
   stamps : (string * string) list;
   aliases : (string * string) list;
@@ -82,6 +83,30 @@ let rec is_arrow_type ty =
   | _ -> false
 
 let sort_uniq = List.sort_uniq String.compare
+
+let rec path_root (p : Path.t) =
+  match p with
+  | Path.Pident id -> id
+  | Path.Pdot (p, _) -> path_root p
+  | Path.Papply (p, _) -> path_root p
+  | Path.Pextra_ty (p, _) -> path_root p
+
+(* Canonical dotted name of [p] in the context of [r]: local module
+   aliases expand to their target, everything gets "__" normalized. *)
+let canonical_name (r : resolver) (p : Path.t) =
+  let full = Tast_util.normalize_path (Path.name p) in
+  match p with
+  | Path.Pident _ -> full
+  | _ -> (
+    let root = path_root p in
+    match List.assoc_opt (Ident.unique_name root) r.aliases with
+    | Some target -> (
+      let root_name = Tast_util.normalize_path (Ident.name root) in
+      match String.index_opt full '.' with
+      | Some i when String.sub full 0 i = root_name ->
+        target ^ String.sub full i (String.length full - i)
+      | _ -> full)
+    | None -> full)
 
 let collect_unit (u : Loader.unit_info) =
   let nodes = ref [] in
@@ -138,7 +163,7 @@ let collect_unit (u : Loader.unit_info) =
   and alias_target (me : Typedtree.module_expr) =
     match me.mod_desc with
     | Typedtree.Tmod_ident (p, _) ->
-      Some (Tast_util.normalize_path (Path.name p))
+      Some (canonical_name { stamps = []; aliases = !aliases } p)
     | Typedtree.Tmod_constraint (inner, _, _, _) -> alias_target inner
     | _ -> None
   and walk_module_expr ~prefix (me : Typedtree.module_expr) =
@@ -148,39 +173,33 @@ let collect_unit (u : Loader.unit_info) =
       walk_module_expr ~prefix inner
     | _ -> ()
   in
+  (* [let module X = P in] aliases inside expressions, after the
+     structure walk so [P] may itself go through a top-level alias. *)
+  let let_module_aliases =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun sub e ->
+          (match e.Typedtree.exp_desc with
+           | Typedtree.Texp_letmodule (Some id, _, _, me, _) -> (
+             match alias_target me with
+             | Some target ->
+               aliases := (Ident.unique_name id, target) :: !aliases
+             | None -> ())
+           | _ -> ());
+          Tast_iterator.default_iterator.expr sub e);
+    }
+  in
   (match u.impl with
    | Some str ->
-     walk_structure ~prefix:(Tast_util.normalize_path u.modname) str
+     walk_structure ~prefix:(Tast_util.normalize_path u.modname) str;
+     let_module_aliases.structure let_module_aliases str
    | None -> ());
   (List.rev !nodes, { stamps = !stamps; aliases = !aliases })
 
 (* --------------------------------------------------------------- *)
 (* Reference resolution                                             *)
 (* --------------------------------------------------------------- *)
-
-let rec path_root (p : Path.t) =
-  match p with
-  | Path.Pident id -> id
-  | Path.Pdot (p, _) -> path_root p
-  | Path.Papply (p, _) -> path_root p
-  | Path.Pextra_ty (p, _) -> path_root p
-
-(* Canonical dotted name of [p] in the context of [r]: local module
-   aliases expand to their target, everything gets "__" normalized. *)
-let canonical_name (r : resolver) (p : Path.t) =
-  let full = Tast_util.normalize_path (Path.name p) in
-  match p with
-  | Path.Pident _ -> full
-  | _ -> (
-    let root = path_root p in
-    match List.assoc_opt (Ident.unique_name root) r.aliases with
-    | Some target -> (
-      let root_name = Tast_util.normalize_path (Ident.name root) in
-      match String.index_opt full '.' with
-      | Some i when String.sub full 0 i = root_name ->
-        target ^ String.sub full i (String.length full - i)
-      | _ -> full)
-    | None -> full)
 
 let empty_resolver = { stamps = []; aliases = [] }
 

@@ -128,7 +128,6 @@ let load_dirs ?(scope_all = false) ~root dirs =
 let load_files ?(scope_all = false) paths =
   { units = units_of_paths paths; scope_all }
 
-let dir_of u = Filename.dirname u.source
 
 let in_dirs ~dirs u =
   List.exists

@@ -34,8 +34,6 @@ val load_dirs : ?scope_all:bool -> root:string -> string list -> t
 val load_files : ?scope_all:bool -> string list -> t
 (** Load explicit [.cmt]/[.cmti] paths (test fixtures). *)
 
-val dir_of : unit_info -> string
-(** Directory part of the unit's source path, e.g. ["lib/measure"]. *)
 
 val in_dirs : dirs:string list -> unit_info -> bool
 (** The unit's source lives under one of [dirs] (path-prefix match). *)

@@ -59,8 +59,8 @@ let check_item ~rule ~(unit : Loader.unit_info) ~literal_idents item =
                      ~detail:("float-" ^ short_op op)
                      (Printf.sprintf
                         "exact float comparison (%s); use \
-                         Ptrng_stats.Float_cmp.approx_eq/near_zero or an \
-                         explicit ordering"
+                         Ptrng_stats.Float_cmp.near_zero or an explicit \
+                         ordering"
                         (short_op op))
                    :: !acc
              | Some "Stdlib./." -> (

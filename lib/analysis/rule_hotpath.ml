@@ -82,16 +82,13 @@ let default_manifest =
         ( "Ptrng_monitor.Flight_recorder.note_trigger",
           "runs once per incident trigger, records the reason string" );
         ( "Ptrng_prng.Gaussian.draw",
-          "the boxed scalar sampler: fill_fa's fallback for non-xoshiro \
-           backends and the per-sample API; the default backend takes \
+          "the boxed per-sample sampler (a mid-chunk entry's skipped \
+           prefix, the Voss and random-walk ladders); bulk fills take \
            the unboxed fill_fa_xoshiro path, which is what the proof \
            covers" );
         ( "Ptrng_prng.Rng.child",
           "constructs one child generator per chunk boundary (a few \
            records); amortized over the chunk's samples by design" );
-        ( "Ptrng_prng.Gaussian.create",
-          "constructs the per-chunk sampler state next to Rng.child; \
-           same chunk-boundary amortization" );
         ( "Ptrng_noise.Source.spectral_sync",
           "per-block spectral synthesis: the first block's buffer, the \
            amplitude spectrum built once at the first resynthesis, and \

@@ -32,15 +32,15 @@ let split_heads = [ "Rng.split"; "Rng.derive_seed"; "Rng.child" ]
 let draw_heads =
   [
     "Rng.bits64"; "Rng.float"; "Rng.float_pos"; "Rng.float_range";
-    "Rng.int_below"; "Rng.bool"; "Rng.fill_floats";
+    "Rng.int_below"; "Rng.bool";
   ]
 
 (* Kept in sync with Rule_state.pool_entry_points (R3). *)
 let pool_entry_points =
   [
     "Pool.run_tasks"; "Pool.parallel_map"; "Pool.parallel_mapi";
-    "Pool.parallel_iter"; "Pool.parallel_filter_map"; "Pool.parallel_reduce";
-    "Pool.parallel_init_floats"; "Pool.parallel_map_streams"; "Pool.run";
+    "Pool.parallel_filter_map"; "Pool.parallel_init_floats";
+    "Pool.parallel_map_streams"; "Pool.run";
   ]
 
 let sequential_iterators =

@@ -1,9 +1,5 @@
 type t = { samples : float array }
 
-let of_samples samples =
-  if Array.length samples < 8 then invalid_arg "Isf.of_samples: need >= 8 samples";
-  { samples = Array.copy samples }
-
 let of_function ?(samples = 1024) f =
   if samples < 8 then invalid_arg "Isf.of_function: need >= 8 samples";
   { samples = Array.init samples (fun i ->

@@ -15,9 +15,6 @@
 type t
 (** A sampled ISF over one period. *)
 
-val of_samples : float array -> t
-(** @raise Invalid_argument on fewer than 8 samples. *)
-
 val of_function : ?samples:int -> (float -> float) -> t
 (** [of_function f] samples [f] on [0, 2pi) (default 1024 points). *)
 

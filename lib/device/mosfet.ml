@@ -26,6 +26,4 @@ let flicker_psd m f =
   if f <= 0.0 then invalid_arg "Mosfet.flicker_psd: f <= 0";
   flicker_coefficient m /. f
 
-let total_psd m f = thermal_psd m +. flicker_psd m f
-
 let corner_frequency m = flicker_coefficient m /. thermal_psd m

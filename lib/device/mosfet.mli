@@ -37,9 +37,5 @@ val flicker_psd : t -> float -> float
 (** [flicker_psd m f] = [flicker_coefficient m /. f].
     @raise Invalid_argument if [f <= 0]. *)
 
-val total_psd : t -> float -> float
-(** Thermal + flicker density at frequency [f] (paper eq. 1); the two
-    parasitic phenomena are independent so their PSDs add. *)
-
 val corner_frequency : t -> float
 (** Frequency where flicker equals thermal noise. *)

@@ -91,7 +91,6 @@ let make ?(b_th = Const 1.0) ?(b_fl = Const 1.0) ?(f0 = Const 1.0)
 
 let name t = t.name
 let description t = t.description
-let faults t = t.faults
 
 let two_pi = 2.0 *. Float.pi
 

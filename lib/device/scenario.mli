@@ -78,8 +78,6 @@ val name : t -> string
 val description : t -> string
 (** One-line human description. *)
 
-val faults : t -> fault list
-(** The fault list, in application order. *)
 
 val eval_profile : profile -> int -> float
 (** The profile's multiplier at period index [k]. *)

@@ -146,11 +146,6 @@ let parallel_mapi ?domains f xs =
 
 let parallel_map ?domains f xs = parallel_mapi ?domains (fun _ x -> f x) xs
 
-let parallel_iter ?domains f xs =
-  let n = Array.length xs in
-  if n > 0 then
-    run_tasks ~domains:(resolve ?domains ()) ~n_tasks:n (fun i -> f xs.(i))
-
 let parallel_filter_map ?domains f xs =
   let mapped = parallel_map ?domains f xs in
   let out = ref [] in
@@ -158,12 +153,6 @@ let parallel_filter_map ?domains f xs =
     match mapped.(i) with Some v -> out := v :: !out | None -> ()
   done;
   Array.of_list !out
-
-let parallel_reduce ?domains ~map ~combine ~init xs =
-  (* Map in parallel, combine sequentially in index order, so the
-     result is independent of the domain count even for non-commutative
-     [combine]. *)
-  Array.fold_left combine init (parallel_map ?domains map xs)
 
 (* ------------------------------------------------------------------ *)
 (* Chunked float generation with deterministic RNG streams             *)
@@ -183,13 +172,12 @@ let parallel_init_floats ?domains ?(chunk = default_chunk) ~rng ~fill n =
     (* One root draw, regardless of chunk or domain count: the caller's
        generator advances identically whether or not the pool runs. *)
     let root = Rng.bits64 rng in
-    let backend = Rng.backend rng in
     let out = Array.make n 0.0 in
     let domains = resolve ?domains () in
     run_tasks ~domains ~n_tasks:nchunks (fun i ->
         let offset = i * chunk in
         let len = min chunk (n - offset) in
-        let child = Rng.child ~backend ~root ~index:i () in
+        let child = Rng.child ~root ~index:i () in
         fill child ~offset ~len out);
     out
   end
@@ -199,8 +187,7 @@ let parallel_map_streams ?domains ~rng f n =
   if n = 0 then [||]
   else begin
     let root = Rng.bits64 rng in
-    let backend = Rng.backend rng in
     parallel_mapi ?domains
-      (fun i () -> f i (Rng.child ~backend ~root ~index:i ()))
+      (fun i () -> f i (Rng.child ~root ~index:i ()))
       (Array.make n ())
   end

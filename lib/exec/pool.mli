@@ -68,23 +68,9 @@ val parallel_map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 val parallel_mapi : ?domains:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
 (** Like [Array.mapi]; same ordering guarantees as {!parallel_map}. *)
 
-val parallel_iter : ?domains:int -> ('a -> unit) -> 'a array -> unit
-(** Like [Array.iter]; [f] must only touch disjoint or synchronised
-    state, as with {!run_tasks}. *)
-
 val parallel_filter_map : ?domains:int -> ('a -> 'b option) -> 'a array -> 'b array
 (** Like [Array.map] followed by dropping [None]s; kept in input
     order. *)
-
-val parallel_reduce :
-  ?domains:int ->
-  map:('a -> 'b) ->
-  combine:('b -> 'b -> 'b) ->
-  init:'b ->
-  'a array ->
-  'b
-(** Parallel map, then a {e sequential} fold of [combine] in index
-    order — deterministic even for non-commutative [combine]. *)
 
 val parallel_init_floats :
   ?domains:int ->

@@ -25,9 +25,6 @@ type config = {
   min_fraction : float;
 }
 
-let default_config =
-  { ns = [| 4096; 16384; 65536; 262144 |]; windows = 128; min_fraction = 0.4 }
-
 type verdict = {
   b_th_est : float;
   sigma_est : float;

@@ -27,9 +27,6 @@ type config = {
                             fraction of the reference. *)
 }
 
-val default_config : config
-(** Grid 4096/16384/65536/262144, 128 windows each, alarm below 40%. *)
-
 type verdict = {
   b_th_est : float;      (** Estimated thermal coefficient. *)
   sigma_est : float;     (** Estimated thermal period jitter, s. *)

@@ -26,15 +26,3 @@ let departure_ratio points =
     (fun (p : Ptrng_measure.Variance_curve.point) ->
       (p.n, p.sigma2 /. linear_prediction ~sigma2 ~n:p.n))
     points
-
-let excess_is_significant points ~z_threshold =
-  let sigma2 = per_period_sigma2 points in
-  let last =
-    Array.fold_left
-      (fun acc (p : Ptrng_measure.Variance_curve.point) -> if p.n > acc.Ptrng_measure.Variance_curve.n then p else acc)
-      points.(0) points
-  in
-  let predicted = linear_prediction ~sigma2 ~n:last.n in
-  Float.is_finite last.stderr
-  && last.stderr > 0.0
-  && (last.sigma2 -. predicted) /. last.stderr > z_threshold

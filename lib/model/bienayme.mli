@@ -21,8 +21,3 @@ val departure_ratio :
     is calibrated on the smallest-N point (which the paper's threshold
     argument treats as effectively thermal).  A ratio drifting above 1
     with N is the dependence signature. *)
-
-val excess_is_significant :
-  Ptrng_measure.Variance_curve.point array -> z_threshold:float -> bool
-(** True when the largest-N point exceeds its independent-model
-    prediction by more than [z_threshold] standard errors. *)

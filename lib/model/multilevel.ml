@@ -98,18 +98,3 @@ let characterize ?domains ?(n_periods = 1 lsl 20) ?n_grid ~rng pair =
   let growth_exponent = Bienayme.growth_exponent ideal_curve in
   { pair; n_periods; ideal_curve; counter_curve; fit; counter_fit; extract;
     growth_exponent }
-
-let predicted_curve phase ~f0 ~ns =
-  Array.map (fun n -> (n, Spectral.scaled phase ~f0 ~n)) ns
-
-(* Replicates are fully independent pipelines, so the Monte-Carlo sweep
-   parallelises at the replicate level: one child stream per replicate
-   (the inner stages then see a busy pool and run sequentially), making
-   the ensemble bit-identical for every domain count. *)
-let monte_carlo ?domains ?n_periods ?n_grid ~rng ~replicates pair =
-  if replicates <= 0 then invalid_arg "Multilevel.monte_carlo: replicates <= 0";
-  Span.with_ ~name:"model.monte_carlo" @@ fun () ->
-  Span.set_attr "replicates" (Ptrng_telemetry.Json.Int replicates);
-  Ptrng_exec.Pool.parallel_map_streams ?domains ~rng
-    (fun _ child -> characterize ?n_periods ?n_grid ~rng:child pair)
-    replicates

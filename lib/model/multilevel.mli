@@ -38,26 +38,5 @@ val characterize :
     bit-identical for every [?domains] value.
     @raise Invalid_argument if [n_periods < 1024]. *)
 
-val monte_carlo :
-  ?domains:int ->
-  ?n_periods:int ->
-  ?n_grid:int array ->
-  rng:Ptrng_prng.Rng.t ->
-  replicates:int ->
-  Ptrng_osc.Pair.t ->
-  analysis array
-(** [monte_carlo ~rng ~replicates pair] repeats {!characterize}
-    [replicates] times with independent child streams derived from
-    [rng], distributing replicates over a {!Ptrng_exec.Pool} — e.g. to
-    bootstrap the spread of the fitted (a, b).  The ensemble is
-    bit-identical for every [?domains] value.
-    @raise Invalid_argument if [replicates <= 0]. *)
-
-val predicted_curve :
-  Ptrng_noise.Psd_model.phase -> f0:float -> ns:int array ->
-  (int * float) array
-(** Ground-truth [(N, f0^2 sigma_N^2)] series from the closed form —
-    what Fig. 7's fitted line shows. *)
-
 val nominal_f0 : Ptrng_osc.Pair.t -> float
 (** Mean of the two ring frequencies (the f0 of the paper's formulas). *)

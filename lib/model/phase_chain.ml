@@ -1,7 +1,5 @@
 type t = {
   bins : int;
-  drift : float;
-  diffusion : float;
   kernel : float array;     (* kernel.(d): probability of advancing d bins *)
   high : bool array;        (* bin center in the high half-period? *)
 }
@@ -45,10 +43,8 @@ let create ?(bins = 256) ~drift ~diffusion () =
         let theta = (float_of_int i +. 0.5) *. width in
         theta < Float.pi)
   in
-  { bins; drift; diffusion; kernel; high }
+  { bins; kernel; high }
 
-let drift t = t.drift
-let diffusion t = t.diffusion
 
 let stationary t =
   (* Power iteration; the circulant, doubly-stochastic kernel converges
@@ -115,10 +111,3 @@ let simulate rng t ~bits =
   Array.init bits (fun _ ->
       state := (!state + step ()) mod t.bins;
       t.high.(!state))
-
-(* Monte-Carlo sweep: independent chains, one child stream per run. *)
-let simulate_many ?domains rng t ~runs ~bits =
-  if runs <= 0 then invalid_arg "Phase_chain.simulate_many: runs <= 0";
-  Ptrng_exec.Pool.parallel_map_streams ?domains ~rng
-    (fun _ child -> simulate child t ~bits)
-    runs

@@ -24,14 +24,6 @@ val create : ?bins:int -> drift:float -> diffusion:float -> unit -> t
 (** Build the chain (default 256 bins).
     @raise Invalid_argument if [bins < 8] or [diffusion < 0]. *)
 
-val drift : t -> float
-(** The per-sample deterministic phase advance the chain was built
-    with. *)
-
-val diffusion : t -> float
-(** The per-sample diffusion (wrapped-Gaussian std) the chain was
-    built with. *)
-
 val stationary : t -> float array
 (** Stationary distribution over the phase bins (power iteration). *)
 
@@ -50,12 +42,3 @@ val simulate : Ptrng_prng.Rng.t -> t -> bits:int -> bool array
 (** Draw a bit sequence from the chain itself (not the event-level
     oscillator) — used to cross-check the chain against its own
     predictions. *)
-
-val simulate_many :
-  ?domains:int ->
-  Ptrng_prng.Rng.t -> t -> runs:int -> bits:int -> bool array array
-(** [simulate_many rng t ~runs ~bits] draws [runs] independent bit
-    sequences, one child stream per run, distributed over a
-    {!Ptrng_exec.Pool} — the Monte-Carlo companion of {!simulate}.
-    The ensemble is bit-identical for every [?domains] value.
-    @raise Invalid_argument on non-positive [runs] or [bits]. *)

@@ -141,8 +141,6 @@ let create ?(config = default_config) ~provenance () =
     n_frozen = 0;
   }
 
-let config t = t.cfg
-let provenance t = t.prov
 let set_monitor_config t j = t.mon_cfg <- j
 
 let record_jitter t x =

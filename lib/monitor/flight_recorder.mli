@@ -52,12 +52,6 @@ val create : ?config:config -> provenance:provenance -> unit -> t
     @raise Invalid_argument if any capacity is below 1 or
     [post_windows] is negative. *)
 
-val config : t -> config
-(** The capacity configuration the recorder was created with. *)
-
-val provenance : t -> provenance
-(** The stream provenance the recorder was created with. *)
-
 val set_monitor_config : t -> Ptrng_telemetry.Json.t -> unit
 (** Store the monitor's configuration (as produced by
     [Monitor.config_json]) for embedding in incident bundles. *)

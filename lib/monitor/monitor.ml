@@ -170,8 +170,6 @@ let create cfg =
     recorder = None;
   }
 
-let config t = t.cfg
-
 (* Round-trippable configuration, embedded in incident bundles so a
    post-mortem replay rebuilds an identically tuned monitor. *)
 let config_json c =
@@ -252,7 +250,6 @@ let attach_recorder t r =
       t.recorder <- Some r;
       Flight_recorder.set_monitor_config r (config_json t.cfg))
 
-let recorder t = Mutex.protect t.lock (fun () -> t.recorder)
 
 let r_judge_of t =
   match t.est with

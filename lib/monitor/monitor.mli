@@ -71,9 +71,6 @@ val create : config -> t
     non-increasing grid, thresholds outside their ranges, windows too
     small). *)
 
-val config : t -> config
-(** The configuration [t] was created with. *)
-
 val config_json : config -> Ptrng_telemetry.Json.t
 (** The configuration as a flat JSON object ([ns] as an int list) —
     embedded in flight-recorder incident bundles so a post-mortem
@@ -90,9 +87,6 @@ val attach_recorder : t -> Flight_recorder.t -> unit
     freeze, and the monitor's configuration is stored for the bundle.
     Attach before feeding — samples seen earlier are not in the
     rings. *)
-
-val recorder : t -> Flight_recorder.t option
-(** The attached recorder, if any. *)
 
 val feed_jitter : t -> float -> unit
 (** Feed one period-jitter sample (seconds; any consistent unit works

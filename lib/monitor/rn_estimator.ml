@@ -246,4 +246,3 @@ let estimate ?(confidence = 0.95) t =
     end
   end
 
-let r_n t n = Option.map (fun e -> r_of_fit e.fit n) (estimate t)

@@ -72,6 +72,3 @@ val r_of_fit : Ptrng_measure.Fit.t -> int -> float
     accumulation length N, clamped to [0, 1] — equals the closed form
     [k/(k+N)] of {!Ptrng_measure.Thermal_extract.r_n}. *)
 
-val r_n : t -> int -> float option
-(** Live [r_N] at accumulation length [n]; [None] while {!estimate}
-    is. *)

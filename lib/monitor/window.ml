@@ -24,7 +24,6 @@ let push_from t src i = push t (Float.Array.get src i)
 
 let count t = t.count
 let total t = t.total
-let full t = t.count = capacity t
 
 let last t =
   if t.count = 0 then nan
@@ -79,7 +78,3 @@ let to_array t =
     Array.blit t.buf 0 a (-lo) t.head;
     a
   end
-
-let clear t =
-  t.head <- 0;
-  t.count <- 0

@@ -28,9 +28,6 @@ val total : t -> int
 (** Samples pushed over the window's lifetime (evicted ones
     included). *)
 
-val full : t -> bool
-(** Whether the window holds [capacity] samples. *)
-
 val last : t -> float
 (** Most recent sample; [nan] while empty. *)
 
@@ -44,5 +41,3 @@ val variance : t -> float
 val to_array : t -> float array
 (** Held samples, oldest first. *)
 
-val clear : t -> unit
-(** Drop all held samples (lifetime {!total} is kept). *)

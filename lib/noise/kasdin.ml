@@ -15,17 +15,17 @@ let coefficients ~alpha n =
   h
 
 type stream = {
-  g : Ptrng_prng.Gaussian.t;
+  rng : Ptrng_prng.Rng.t;
   sigma_w : float;
   taps : float array;
   buf : float array;  (* ring buffer of past white inputs *)
   mutable pos : int;
 }
 
-let stream_create g ~alpha ~sigma_w ~taps =
+let stream_create rng ~alpha ~sigma_w ~taps =
   if taps <= 0 then invalid_arg "Kasdin.stream_create: taps <= 0";
   {
-    g;
+    rng;
     sigma_w;
     taps = coefficients ~alpha taps;
     buf = Array.make taps 0.0;
@@ -35,7 +35,7 @@ let stream_create g ~alpha ~sigma_w ~taps =
 let stream_next s =
   Tm.Counter.incr samples_total;
   let k = Array.length s.taps in
-  s.buf.(s.pos) <- s.sigma_w *. Ptrng_prng.Gaussian.draw s.g;
+  s.buf.(s.pos) <- s.sigma_w *. Ptrng_prng.Gaussian.draw s.rng;
   let acc = ref 0.0 in
   for j = 0 to k - 1 do
     (* taps.(j) multiplies the input from j steps ago. *)

@@ -22,8 +22,9 @@ type stream
 (** Streaming generator with a truncated coefficient window. *)
 
 val stream_create :
-  Ptrng_prng.Gaussian.t -> alpha:float -> sigma_w:float -> taps:int -> stream
-(** Streaming 1/f^alpha generator over an explicit Gaussian source,
+  Ptrng_prng.Rng.t -> alpha:float -> sigma_w:float -> taps:int -> stream
+(** Streaming 1/f^alpha generator driven by ziggurat deviates from the
+    given generator,
     keeping only the last [taps] filter coefficients.
     @raise Invalid_argument if [taps <= 0]. *)
 

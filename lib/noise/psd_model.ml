@@ -7,10 +7,6 @@ let phase_psd p f =
   check_f f;
   (p.b_fl /. (f *. f *. f)) +. (p.b_th /. (f *. f))
 
-let frac_freq_psd y f =
-  check_f f;
-  y.h0 +. (y.hm1 /. f) +. (y.hm2 /. (f *. f))
-
 let frac_freq_of_phase ~f0 p =
   if f0 <= 0.0 then invalid_arg "Psd_model.frac_freq_of_phase: f0 <= 0";
   let f02 = f0 *. f0 in

@@ -25,9 +25,6 @@ val phase_psd : phase -> float -> float
 (** [phase_psd p f] evaluates [b_fl/f^3 + b_th/f^2].
     @raise Invalid_argument if [f <= 0]. *)
 
-val frac_freq_psd : frac_freq -> float -> float
-(** One-sided [S_y(f)]. @raise Invalid_argument if [f <= 0]. *)
-
 val frac_freq_of_phase : f0:float -> phase -> frac_freq
 (** The calibration identity above ([hm2 = 0]). *)
 

@@ -77,9 +77,9 @@ let spectral ?(block = 1 lsl 16) ~psd ~fs () =
 
 type white_state = {
   w_sigma : float;
-  mutable g : Gaussian.t;
-  mutable chunk_index : int;  (* chunk [g] draws for; -1 = none yet *)
-  mutable drawn : int;        (* samples already drawn from [g] *)
+  mutable rng : Rng.t;
+  mutable chunk_index : int;  (* chunk [rng] draws for; -1 = none yet *)
+  mutable drawn : int;        (* samples already drawn from [rng] *)
 }
 
 let chunk = Ptrng_exec.Pool.default_chunk
@@ -87,7 +87,7 @@ let chunk = Ptrng_exec.Pool.default_chunk
 let white_make ~sigma =
   {
     w_sigma = sigma;
-    g = Gaussian.create (Rng.create ~seed:0L ());
+    rng = Rng.create ~seed:0L ();
     chunk_index = -1;
     drawn = 0;
   }
@@ -99,23 +99,23 @@ let white_reset st = st.chunk_index <- (-1)
    stream ci of the root; entering a chunk mid-way discards the skipped
    prefix draws so the sample at index i never depends on how fills
    were partitioned. *)
-let white_fill st ~backend ~root ~abs ~dst ~dst_pos ~len =
+let white_fill st ~root ~abs ~dst ~dst_pos ~len =
   let p = ref abs and i = ref dst_pos and remaining = ref len in
   while !remaining > 0 do
     let ci = !p / chunk and off = !p mod chunk in
     if ci <> st.chunk_index then begin
-      st.g <- Gaussian.create (Rng.child ~backend ~root ~index:ci ());
+      st.rng <- Rng.child ~root ~index:ci ();
       st.chunk_index <- ci;
       st.drawn <- 0
     end;
     while st.drawn < off do
-      let (_ : float) = Gaussian.draw st.g in
+      let (_ : float) = Gaussian.draw st.rng in
       st.drawn <- st.drawn + 1
     done;
     let take = min !remaining (chunk - off) in
     (* Bulk ziggurat fill: draw-for-draw the per-sample loop, minus the
        boxed round trip per draw (Gaussian.fill_fa). *)
-    Gaussian.fill_fa st.g ~sigma:st.w_sigma dst ~pos:!i ~len:take;
+    Gaussian.fill_fa st.rng ~sigma:st.w_sigma dst ~pos:!i ~len:take;
     st.drawn <- st.drawn + take;
     p := !p + take;
     i := !i + take;
@@ -155,8 +155,6 @@ type impl =
   | ISpectral of spectral_state
 
 type t = {
-  config : config;
-  backend : Rng.backend;
   root : int64;
   mutable pos : int;
   impl : impl;
@@ -174,24 +172,23 @@ let[@inline] spectral_block_root ~root b =
 (* The first synthesis allocates [cur] and evaluates the PSD per bin,
    so a one-block stream holds nothing more.  Every later one builds the
    amplitude spectrum once and rebuilds the block in place in [cur]. *)
-let spectral_sync st ~backend ~root b =
+let spectral_sync st ~root b =
   if b <> st.block_index then begin
     let root = spectral_block_root ~root b in
     if FA.length st.cur = 0 then
       st.cur <-
-        Spectral_synth.generate_with_root ~domains:1 ~backend ~root
+        Spectral_synth.generate_with_root ~domains:1 ~root
           ~psd:st.s_psd ~fs:st.s_fs st.s_block
     else begin
       if FA.length st.amps = 0 then
         st.amps <- Spectral_synth.amplitudes ~psd:st.s_psd ~fs:st.s_fs st.s_block;
-      Spectral_synth.generate_into ~domains:1 ~backend ~root
+      Spectral_synth.generate_into ~domains:1 ~root
         ~amplitudes:st.amps st.cur
     end;
     st.block_index <- b
   end
 
 let create config rng =
-  let backend = Rng.backend rng in
   let root = Rng.bits64 rng in
   let impl =
     match config with
@@ -213,7 +210,7 @@ let create config rng =
         {
           v_sigma = sigma;
           v_octaves = octaves;
-          v = Voss.create (Rng.child ~backend ~root ~index:0 ()) ~octaves;
+          v = Voss.create (Rng.child ~root ~index:0 ()) ~octaves;
         }
     | CSpectral { psd; fs; block } ->
       ISpectral
@@ -226,9 +223,7 @@ let create config rng =
           amps = FA.create 0;
         }
   in
-  { config; backend; root; pos = 0; impl }
-
-let config t = t.config
+  { root; pos = 0; impl }
 
 let position t = t.pos
 
@@ -238,14 +233,13 @@ let fill_range t dst ~pos ~len =
   Ptrng_telemetry.Registry.Counter.add samples_total len;
   (match t.impl with
   | IWhite st ->
-    white_fill st ~backend:t.backend ~root:t.root ~abs:t.pos ~dst ~dst_pos:pos
-      ~len
+    white_fill st ~root:t.root ~abs:t.pos ~dst ~dst_pos:pos ~len
   | IKasdin st ->
     let block = Fft.Overlap_add.block st.ola in
     let abs = ref t.pos and i = ref pos and remaining = ref len in
     while !remaining > 0 do
       let take = min !remaining block in
-      white_fill st.k_white ~backend:t.backend ~root:t.root ~abs:!abs
+      white_fill st.k_white ~root:t.root ~abs:!abs
         ~dst:st.wbuf ~dst_pos:0 ~len:take;
       Fft.Overlap_add.process st.ola ~src:st.wbuf ~src_pos:0 ~dst ~dst_pos:!i
         ~len:take;
@@ -262,7 +256,7 @@ let fill_range t dst ~pos ~len =
     let abs = ref t.pos and i = ref pos and remaining = ref len in
     while !remaining > 0 do
       let b = !abs / st.s_block and off = !abs mod st.s_block in
-      spectral_sync st ~backend:t.backend ~root:t.root b;
+      spectral_sync st ~root:t.root b;
       let take = min !remaining (st.s_block - off) in
       FA.blit st.cur off dst !i take;
       abs := !abs + take;
@@ -280,8 +274,7 @@ let reset t =
     white_reset st.k_white;
     Fft.Overlap_add.reset st.ola
   | IVoss st ->
-    st.v <- Voss.create (Rng.child ~backend:t.backend ~root:t.root ~index:0 ())
-        ~octaves:st.v_octaves
+    st.v <- Voss.create (Rng.child ~root:t.root ~index:0 ()) ~octaves:st.v_octaves
   | ISpectral _ -> ());
   t.pos <- 0
 
@@ -304,7 +297,7 @@ let skip t n =
     let abs = ref t.pos and remaining = ref n in
     while !remaining > 0 do
       let take = min !remaining block in
-      white_fill st.k_white ~backend:t.backend ~root:t.root ~abs:!abs
+      white_fill st.k_white ~root:t.root ~abs:!abs
         ~dst:st.wbuf ~dst_pos:0 ~len:take;
       Fft.Overlap_add.process st.ola ~src:st.wbuf ~src_pos:0 ~dst:st.wbuf
         ~dst_pos:0 ~len:take;

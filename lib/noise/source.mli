@@ -102,5 +102,3 @@ val skip : t -> int -> unit
 val position : t -> int
 (** Samples delivered (or skipped) since creation or the last reset. *)
 
-val config : t -> config
-(** The configuration the source was created with. *)

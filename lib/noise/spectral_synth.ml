@@ -38,7 +38,7 @@ let[@inline] amp_at amps n k =
    block for [root].  [domains] is a required resolved count (no option
    at hot call sites): the streaming resynthesis path passes
    [~domains:1] directly, and [generate] resolves its own [?domains]. *)
-let synthesize ~domains ~backend ~root amps re =
+let synthesize ~domains ~root amps re =
   let n = FA.length re in
   Ptrng_telemetry.Registry.Counter.add samples_total n;
   let im = FA.make n 0.0 in
@@ -49,8 +49,7 @@ let synthesize ~domains ~backend ~root amps re =
   FA.set re 0 0.0;
   if nbins > 0 then
     Pool.run_tasks ~domains ~n_tasks:nchunks (fun ci ->
-        let child = Rng.child ~backend ~root ~index:ci () in
-        let g = Ptrng_prng.Gaussian.create child in
+        let child = Rng.child ~root ~index:ci () in
         let k_lo = 1 + (ci * bin_chunk) in
         let k_hi = min (half - 1) (k_lo + bin_chunk - 1) in
         let bins = k_hi - k_lo + 1 in
@@ -58,7 +57,7 @@ let synthesize ~domains ~backend ~root amps re =
            same draw order as the former per-bin pair of draws, but
            allocation-free (Gaussian.fill_fa). *)
         let draws = FA.create (2 * bins) in
-        Ptrng_prng.Gaussian.fill_fa g ~sigma:1.0 draws ~pos:0 ~len:(2 * bins);
+        Ptrng_prng.Gaussian.fill_fa child ~sigma:1.0 draws ~pos:0 ~len:(2 * bins);
         for k = k_lo to k_hi do
           let amp = amp_at amps n k in
           let j = 2 * (k - k_lo) in
@@ -72,60 +71,33 @@ let synthesize ~domains ~backend ~root amps re =
   (* The Nyquist bin is real; its draw comes from a dedicated child
      stream beyond the interior chunk indices. *)
   if half >= 1 && half < n then begin
-    let child = Rng.child ~backend ~root ~index:(nchunks + 1) () in
-    let g = Ptrng_prng.Gaussian.create child in
-    FA.set re half (amp_at amps n half *. Ptrng_prng.Gaussian.draw g)
+    let child = Rng.child ~root ~index:(nchunks + 1) () in
+    FA.set re half (amp_at amps n half *. Ptrng_prng.Gaussian.draw child)
   end;
   (* inverse_pow2 applies the 1/n scaling, so a forward transform of the
      result returns exactly the spectrum built above. *)
   Ptrng_signal.Fft.inverse_pow2 ~re ~im
 
-let generate_with_root ~domains ~backend ~root ~psd ~fs n =
+let generate_with_root ~domains ~root ~psd ~fs n =
   if not (Ptrng_signal.Fft.is_pow2 n) then
     invalid_arg "Spectral_synth.generate: n must be a power of two";
   if fs <= 0.0 then invalid_arg "Spectral_synth.generate: fs <= 0";
   let re = FA.make n 0.0 in
-  synthesize ~domains ~backend ~root (Psd (psd, fs)) re;
+  synthesize ~domains ~root (Psd (psd, fs)) re;
   re
 
-let generate_into ~domains ~backend ~root ~amplitudes re =
+let generate_into ~domains ~root ~amplitudes re =
   let n = FA.length re in
   if not (Ptrng_signal.Fft.is_pow2 n) then
     invalid_arg "Spectral_synth.generate_into: length not a power of two";
   if FA.length amplitudes <> n / 2 then
     invalid_arg "Spectral_synth.generate_into: amplitudes length <> n/2";
-  synthesize ~domains ~backend ~root (Table amplitudes) re
+  synthesize ~domains ~root (Table amplitudes) re
 
 let generate ?domains rng ~psd ~fs n =
   let root = Rng.bits64 rng in
-  let backend = Rng.backend rng in
   FA.map_to_array Fun.id
-    (generate_with_root ~domains:(Pool.resolve ?domains ()) ~backend ~root ~psd
-       ~fs n)
-
-let generate_frac_freq ?domains rng ~model ~fs n =
-  let open Psd_model in
-  let y =
-    if model.h0 > 0.0 then begin
-      let sigma = sqrt (White.variance_of_level ~level:model.h0 ~fs) in
-      Pool.parallel_init_floats ?domains ~rng
-        ~fill:(fun child ~offset ~len out ->
-          let g = Ptrng_prng.Gaussian.create child in
-          for i = offset to offset + len - 1 do
-            out.(i) <- sigma *. Ptrng_prng.Gaussian.draw g
-          done)
-        n
-    end
-    else Array.make n 0.0
-  in
-  if model.hm1 > 0.0 || model.hm2 > 0.0 then begin
-    let colored_psd f = (model.hm1 /. f) +. (model.hm2 /. (f *. f)) in
-    let colored = generate ?domains rng ~psd:colored_psd ~fs n in
-    for i = 0 to n - 1 do
-      y.(i) <- y.(i) +. colored.(i)
-    done
-  end;
-  y
+    (generate_with_root ~domains:(Pool.resolve ?domains ()) ~root ~psd ~fs n)
 
 let generate_many ?domains rng ~psd ~fs ~count n =
   if count < 0 then invalid_arg "Spectral_synth.generate_many: count < 0";

@@ -31,13 +31,12 @@ val generate :
 
 val generate_with_root :
   domains:int ->
-  backend:Ptrng_prng.Rng.backend ->
   root:int64 ->
   psd:(float -> float) ->
   fs:float ->
   int ->
   Float.Array.t
-(** [generate_with_root ~domains ~backend ~root ~psd ~fs n] is
+(** [generate_with_root ~domains ~root ~psd ~fs n] is
     {!generate} with the root draw supplied explicitly instead of taken
     from a live generator — the resynthesizable form behind {!Source}:
     any block of a stream is a pure function of its recorded root.
@@ -46,8 +45,8 @@ val generate_with_root :
     would allocate a [Some] per block).  The output is bit-identical
     for every [domains] value.  The block is returned as the unboxed
     buffer the inverse FFT ran in; [generate rng] is exactly
-    [generate_with_root ~domains:(Pool.resolve ()) ~backend:(backend
-    rng) ~root:(bits64 rng)] copied into a [float array].  @raise Invalid_argument as
+    [generate_with_root ~domains:(Pool.resolve ()) ~root:(bits64 rng)]
+    copied into a [float array].  @raise Invalid_argument as
     {!generate}. *)
 
 val amplitudes : psd:(float -> float) -> fs:float -> int -> Float.Array.t
@@ -59,12 +58,11 @@ val amplitudes : psd:(float -> float) -> fs:float -> int -> Float.Array.t
 
 val generate_into :
   domains:int ->
-  backend:Ptrng_prng.Rng.backend ->
   root:int64 ->
   amplitudes:Float.Array.t ->
   Float.Array.t ->
   unit
-(** [generate_into ~domains ~backend ~root ~amplitudes re] overwrites
+(** [generate_into ~domains ~root ~amplitudes re] overwrites
     all of [re] with the block {!generate_with_root} returns for the
     same root, bit for bit, taking bin amplitudes from [amplitudes]
     (built by {!amplitudes} for [Float.Array.length re]) instead of
@@ -72,17 +70,6 @@ val generate_into :
     run one synthesis routine; only the amplitude source differs.
     @raise Invalid_argument if the length of [re] is not a power of two
     or [amplitudes] does not hold half as many floats. *)
-
-val generate_frac_freq :
-  ?domains:int ->
-  Ptrng_prng.Rng.t ->
-  model:Psd_model.frac_freq ->
-  fs:float ->
-  int ->
-  float array
-(** Fractional-frequency noise for an oscillator: white FM is added in
-    the time domain (exactly white, no circularity), flicker and
-    random-walk FM come from {!generate}. *)
 
 val generate_many :
   ?domains:int ->

@@ -5,16 +5,15 @@ let samples_total =
     "ptrng_noise_voss_samples_total"
 
 type t = {
-  g : Ptrng_prng.Gaussian.t;
+  rng : Ptrng_prng.Rng.t;
   sources : float array;
   mutable counter : int;
 }
 
 let create rng ~octaves =
   if octaves < 1 || octaves > 62 then invalid_arg "Voss.create: octaves outside [1,62]";
-  let g = Ptrng_prng.Gaussian.create rng in
-  let sources = Array.init octaves (fun _ -> Ptrng_prng.Gaussian.draw g) in
-  { g; sources; counter = 0 }
+  let sources = Array.init octaves (fun _ -> Ptrng_prng.Gaussian.draw rng) in
+  { rng; sources; counter = 0 }
 
 (* [@inline] erases the boxed float return at fill-loop call sites;
    the accumulator ref is erased by Simplif.eliminate_ref (summing
@@ -25,7 +24,7 @@ let[@inline] next t =
   for j = 0 to octaves - 1 do
     (* Source j holds its value for 2^j consecutive samples. *)
     if t.counter land ((1 lsl j) - 1) = 0 then
-      t.sources.(j) <- Ptrng_prng.Gaussian.draw t.g
+      t.sources.(j) <- Ptrng_prng.Gaussian.draw t.rng
   done;
   t.counter <- t.counter + 1;
   let sum = ref 0.0 in

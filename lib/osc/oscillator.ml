@@ -31,7 +31,7 @@ type source = {
   thermal : Source.t option;
   flicker : Source.t option;
   fl_scratch : FA.t;          (* length flicker_seg when flicker <> None *)
-  rw : Ptrng_prng.Gaussian.t option;
+  rw : Ptrng_prng.Rng.t option;
   rw_sigma : float;
   rw_carry : FA.t;            (* 1-cell random-walk integrator state *)
   mutable s_pos : int;
@@ -76,7 +76,7 @@ let source ?(flicker_block = default_flicker_block) rng cfg =
         Some (Source.create (Source.voss ~octaves ~sigma ()) rng)
   in
   let rw =
-    if cfg.rw_hm2 > 0.0 then Some (Ptrng_prng.Gaussian.create rng) else None
+    if cfg.rw_hm2 > 0.0 then Some rng else None
   in
   {
     s_t0 = t0;
@@ -120,11 +120,11 @@ let fill_periods_n src ~len buf =
     done);
   (match src.rw with
   | None -> ()
-  | Some g ->
+  | Some rw ->
     let sigma_w = src.rw_sigma in
     let y = ref (FA.get src.rw_carry 0) in
     for i = 0 to len - 1 do
-      y := !y +. (sigma_w *. Ptrng_prng.Gaussian.draw g);
+      y := !y +. (sigma_w *. Ptrng_prng.Gaussian.draw rw);
       FA.unsafe_set buf i (FA.unsafe_get buf i +. (t0 *. !y))
     done;
     FA.set src.rw_carry 0 !y);
@@ -185,11 +185,11 @@ let source_skip src n =
   Option.iter (fun fl -> Source.skip fl n) src.flicker;
   (match src.rw with
   | None -> ()
-  | Some g ->
+  | Some rw ->
     let sigma_w = src.rw_sigma in
     let y = ref (FA.get src.rw_carry 0) in
     for _ = 1 to n do
-      y := !y +. (sigma_w *. Ptrng_prng.Gaussian.draw g)
+      y := !y +. (sigma_w *. Ptrng_prng.Gaussian.draw rw)
     done;
     FA.set src.rw_carry 0 !y);
   src.s_pos <- src.s_pos + n

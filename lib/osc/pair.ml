@@ -80,7 +80,6 @@ let stream ?flicker_block ?scenario rng pair =
     sc_pos = 0;
   }
 
-let sources st = (st.s1, st.s2)
 
 let position st =
   match st.scen with

@@ -73,9 +73,6 @@ val stream :
     the two split sources, so scheduled fills are bit-identical for
     every domain count and chunk partitioning. *)
 
-val sources : stream -> Oscillator.source * Oscillator.source
-(** The two underlying ring sources, sampled then sampling. *)
-
 val position : stream -> int
 (** Periods delivered so far. *)
 

@@ -31,8 +31,7 @@ let binomial rng ~n ~p =
   else begin
     let mean = float_of_int n *. p in
     let sd = sqrt (mean *. (1.0 -. p)) in
-    let g = Gaussian.create rng in
-    let k = int_of_float (Float.round (Gaussian.draw_scaled g ~mu:mean ~sigma:sd)) in
+    let k = int_of_float (Float.round (Gaussian.draw_scaled rng ~mu:mean ~sigma:sd)) in
     max 0 (min n k)
   end
 
@@ -47,8 +46,9 @@ let poisson rng ~lambda =
     loop 0 1.0
   end
   else begin
-    let g = Gaussian.create rng in
-    let k = int_of_float (Float.round (Gaussian.draw_scaled g ~mu:lambda ~sigma:(sqrt lambda))) in
+    let k =
+      int_of_float (Float.round (Gaussian.draw_scaled rng ~mu:lambda ~sigma:(sqrt lambda)))
+    in
     max 0 k
   end
 

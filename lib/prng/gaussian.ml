@@ -1,14 +1,3 @@
-type method_ = Ziggurat | Box_muller | Polar
-
-type t = {
-  method_ : method_;
-  rng : Rng.t;
-  mutable spare : float;
-  mutable has_spare : bool;
-}
-
-let pdf x = exp (-0.5 *. x *. x) /. sqrt (2.0 *. Float.pi)
-
 (* Ziggurat tables (Marsaglia & Tsang 2000, 128 layers).
 
    f(x) = exp(-x^2/2) with abscissas x.(0) > x.(1) = r > ... > x.(128) = 0
@@ -33,12 +22,6 @@ let zig_x, zig_y =
   done;
   (x, y)
 
-(* No default on [?method_]: a defaulted optional splits the currying
-   chain and allocates the inner closure per call (R7). *)
-let create ?method_ rng =
-  let method_ = match method_ with None -> Ziggurat | Some m -> m in
-  { method_; rng; spare = 0.0; has_spare = false }
-
 let draw_tail rng =
   (* Marsaglia's exponential-rejection sampler for the normal tail x > r. *)
   let rec loop () =
@@ -48,7 +31,7 @@ let draw_tail rng =
   in
   loop ()
 
-let rec draw_ziggurat rng =
+let rec draw rng =
   let i = Int64.to_int (Int64.logand (Rng.bits64 rng) 127L) in
   let u = (2.0 *. Rng.float rng) -. 1.0 in
   let z = u *. zig_x.(i) in
@@ -59,50 +42,9 @@ let rec draw_ziggurat rng =
     if u < 0.0 then -.tail else tail
   else
     let y = zig_y.(i) +. (Rng.float rng *. (zig_y.(i + 1) -. zig_y.(i))) in
-    if y < exp (-0.5 *. z *. z) then z else draw_ziggurat rng
+    if y < exp (-0.5 *. z *. z) then z else draw rng
 
-let draw t =
-  match t.method_ with
-  | Ziggurat -> draw_ziggurat t.rng
-  | Box_muller ->
-    if t.has_spare then begin
-      t.has_spare <- false;
-      t.spare
-    end
-    else begin
-      let u1 = Rng.float_pos t.rng and u2 = Rng.float t.rng in
-      let radius = sqrt (-2.0 *. log u1) and angle = 2.0 *. Float.pi *. u2 in
-      t.spare <- radius *. sin angle;
-      t.has_spare <- true;
-      radius *. cos angle
-    end
-  | Polar ->
-    if t.has_spare then begin
-      t.has_spare <- false;
-      t.spare
-    end
-    else begin
-      let rec loop () =
-        let v1 = (2.0 *. Rng.float t.rng) -. 1.0
-        and v2 = (2.0 *. Rng.float t.rng) -. 1.0 in
-        let s = (v1 *. v1) +. (v2 *. v2) in
-        if s >= 1.0 || s = 0.0 then loop ()
-        else begin
-          let scale = sqrt (-2.0 *. log s /. s) in
-          t.spare <- v2 *. scale;
-          t.has_spare <- true;
-          v1 *. scale
-        end
-      in
-      loop ()
-    end
-
-let draw_scaled t ~mu ~sigma = mu +. (sigma *. draw t)
-
-let fill t a =
-  for i = 0 to Array.length a - 1 do
-    a.(i) <- draw t
-  done
+let draw_scaled rng ~mu ~sigma = mu +. (sigma *. draw rng)
 
 (* ------------------------------------------------------------------ *)
 (* Bulk zero-allocation fill                                           *)
@@ -116,7 +58,7 @@ let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* The ziggurat of [draw], draw-for-draw: every [xo_next] below is one
-   Xoshiro256.next, consumed in the exact order of [draw_ziggurat]
+   Xoshiro256.next, consumed in the exact order of [draw]
    (index bits, then the uniform for u, then — on the slow branches —
    the tail / wedge uniforms), so a [fill_fa] stream is bit-identical
    to a [draw] loop on the same generator.  Keeping the whole sampler
@@ -199,7 +141,7 @@ let fill_fa_xoshiro xs ~sigma dst ~pos ~len =
       end
       else begin
         (* Wedge test: one more uniform; on rejection fall through to a
-           fresh ziggurat attempt, like the recursive [draw_ziggurat]. *)
+           fresh ziggurat attempt, like the recursive [draw]. *)
         let b3 = Int64.add (rotl (Int64.add !s0 !s3) 23) !s0 in
         let tmp = Int64.shift_left !s1 17 in
         s2 := Int64.logxor !s2 !s0;
@@ -229,21 +171,9 @@ let fill_fa_xoshiro xs ~sigma dst ~pos ~len =
   Xoshiro256.restore xs st
 
 (* [sigma] is a required label: an optional argument would make every
-   hot caller build a [Some] block, and a defaulted one would split
-   the currying chain into per-call closures.  The match nests instead
-   of pairing so no scrutinee tuple is allocated per call. *)
-let fill_fa t ~sigma dst ~pos ~len =
+   hot caller build a [Some] block, and a defaulted one would split the
+   currying chain into per-call closures. *)
+let fill_fa rng ~sigma dst ~pos ~len =
   if len < 0 || pos < 0 || pos + len > FA.length dst then
     invalid_arg "Gaussian.fill_fa: bad range";
-  match t.method_ with
-  | Ziggurat -> (
-    match Rng.xoshiro_state t.rng with
-    | Some xs -> fill_fa_xoshiro xs ~sigma dst ~pos ~len
-    | None ->
-      for i = pos to pos + len - 1 do
-        FA.unsafe_set dst i (sigma *. draw t)
-      done)
-  | Box_muller | Polar ->
-    for i = pos to pos + len - 1 do
-      FA.unsafe_set dst i (sigma *. draw t)
-    done
+  fill_fa_xoshiro (Rng.xoshiro_state rng) ~sigma dst ~pos ~len

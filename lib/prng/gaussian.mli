@@ -1,40 +1,19 @@
-(** Standard-normal sampling.
+(** Standard-normal sampling: the Marsaglia–Tsang ziggurat (128
+    layers) over {!Rng}. *)
 
-    Three classic algorithms are provided; the ziggurat is the default
-    used by the noise generators, with Box–Muller and the polar method
-    kept as independently-testable references. *)
-
-type method_ = Ziggurat | Box_muller | Polar
-
-type t
-(** A sampler: an algorithm plus its cached state (spare deviate,
-    ziggurat tables are global and shared). *)
-
-val create : ?method_:method_ -> Rng.t -> t
-(** [create ?method_ rng] builds a sampler drawing uniforms from [rng].
-    Default method is [Ziggurat]. *)
-
-val draw : t -> float
+val draw : Rng.t -> float
 (** One N(0,1) deviate. *)
 
-val draw_scaled : t -> mu:float -> sigma:float -> float
-(** [draw_scaled t ~mu ~sigma] is [mu + sigma * draw t]. *)
+val draw_scaled : Rng.t -> mu:float -> sigma:float -> float
+(** [draw_scaled rng ~mu ~sigma] is [mu + sigma * draw rng]. *)
 
-val fill : t -> float array -> unit
-(** Overwrite an array with N(0,1) deviates. *)
-
-val fill_fa : t -> sigma:float -> Float.Array.t -> pos:int -> len:int -> unit
-(** [fill_fa t ~sigma dst ~pos ~len] overwrites [dst.(pos ..
-    pos+len-1)] with [sigma *. draw t] samples ([sigma] is a required
+val fill_fa : Rng.t -> sigma:float -> Float.Array.t -> pos:int -> len:int -> unit
+(** [fill_fa rng ~sigma dst ~pos ~len] overwrites [dst.(pos ..
+    pos+len-1)] with [sigma *. draw rng] samples ([sigma] is a required
     label so hot callers never build a [Some] block),
     draw-for-draw identical to calling {!draw} in a loop — same uniform
     consumption, same values, any partition of a stream into fills.
-    For the default ziggurat-on-xoshiro sampler the whole loop runs on
-    unboxed locals ({!Rng.xoshiro_state}), making it allocation-free;
-    other methods and backends fall back to per-sample draws.  This is
-    the generator behind the streaming noise hot path
-    ({!Ptrng_noise.Source}).
+    The whole loop runs on unboxed locals ({!Rng.xoshiro_state}),
+    making it allocation-free.  This is the generator behind the
+    streaming noise hot path ({!Ptrng_noise.Source}).
     @raise Invalid_argument on a bad range. *)
-
-val pdf : float -> float
-(** Standard normal density. *)

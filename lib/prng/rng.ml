@@ -1,38 +1,8 @@
-type backend = Xoshiro | Pcg | Splitmix
+type t = Xoshiro256.t
 
-type state =
-  | S_xoshiro of Xoshiro256.t
-  | S_pcg of Pcg32.t
-  | S_splitmix of Splitmix64.t
+let create ~seed () = Xoshiro256.create ~seed
 
-type t = { state : state }
-
-(* The option-free core; [create]'s [?backend] carries no default
-   value, because a defaulted optional splits the currying chain and
-   allocates the inner closure per call (R7). *)
-let make backend seed =
-  let state =
-    match backend with
-    | Xoshiro -> S_xoshiro (Xoshiro256.create ~seed)
-    | Pcg -> S_pcg (Pcg32.create ~seed ())
-    | Splitmix -> S_splitmix (Splitmix64.create seed)
-  in
-  { state }
-
-let create ?backend ~seed () =
-  make (match backend with None -> Xoshiro | Some b -> b) seed
-
-let backend_name t =
-  match t.state with
-  | S_xoshiro _ -> "xoshiro256++"
-  | S_pcg _ -> "pcg32"
-  | S_splitmix _ -> "splitmix64"
-
-let bits64 t =
-  match t.state with
-  | S_xoshiro s -> Xoshiro256.next s
-  | S_pcg s -> Pcg32.next64 s
-  | S_splitmix s -> Splitmix64.next s
+let bits64 = Xoshiro256.next
 
 let float t =
   let bits = Int64.shift_right_logical (bits64 t) 11 in
@@ -60,16 +30,9 @@ let int_below t n =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let backend t =
-  match t.state with
-  | S_xoshiro _ -> Xoshiro
-  | S_pcg _ -> Pcg
-  | S_splitmix _ -> Splitmix
+let xoshiro_state t = t
 
-let xoshiro_state t =
-  match t.state with S_xoshiro s -> Some s | S_pcg _ | S_splitmix _ -> None
-
-let split t = make (backend t) (bits64 t)
+let split t = create ~seed:(bits64 t) ()
 
 let[@inline] derive_seed root index =
   if index < 0 then invalid_arg "Rng.derive_seed: negative index";
@@ -85,9 +48,4 @@ let[@inline] derive_seed root index =
   let _ = Splitmix64.next s in
   Splitmix64.next s
 
-let child ~backend ~root ~index () = make backend (derive_seed root index)
-
-let fill_floats t a =
-  for i = 0 to Array.length a - 1 do
-    a.(i) <- float t
-  done
+let child ~root ~index () = create ~seed:(derive_seed root index) ()

@@ -1,20 +1,14 @@
-(** Unified random-generator interface.
+(** The random generator of this repository: xoshiro256++
+    ({!Xoshiro256}), seeded through {!Splitmix64}.
 
-    All stochastic code in this repository draws randomness through this
-    module, so any backend ({!Xoshiro256}, {!Pcg32}, {!Splitmix64}) can
-    be swapped in, and every simulation is reproducible from a seed. *)
+    All stochastic code draws randomness through this module, so every
+    simulation is reproducible from a seed. *)
 
 type t
-(** A generator handle: a backend plus its mutable state. *)
+(** A generator: the mutable xoshiro256++ state. *)
 
-type backend = Xoshiro | Pcg | Splitmix
-
-val create : ?backend:backend -> seed:int64 -> unit -> t
-(** [create ?backend ~seed ()] builds a seeded generator.
-    Default backend is [Xoshiro]. *)
-
-val backend_name : t -> string
-(** Human-readable backend label ("xoshiro256++", ...). *)
+val create : seed:int64 -> unit -> t
+(** [create ~seed ()] builds a seeded generator. *)
 
 val bits64 : t -> int64
 (** 64 uniform pseudo-random bits. *)
@@ -35,12 +29,8 @@ val int_below : t -> int -> int
 val bool : t -> bool
 (** A fair coin flip. *)
 
-val backend : t -> backend
-(** The backend [t] was created with. *)
-
-val xoshiro_state : t -> Xoshiro256.t option
-(** The underlying {!Xoshiro256} state when [t] was created with the
-    [Xoshiro] backend, [None] otherwise.  This is the hook for bulk
+val xoshiro_state : t -> Xoshiro256.t
+(** The underlying {!Xoshiro256} state.  This is the hook for bulk
     samplers ({!Gaussian.fill_fa}) that run the recurrence on unboxed
     locals instead of paying a boxed [int64] round trip per draw;
     mutating the returned state advances [t]'s stream, exactly as
@@ -57,9 +47,6 @@ val derive_seed : int64 -> int -> int64
     regardless of which domain (or how many domains) runs it.
     @raise Invalid_argument on negative [index]. *)
 
-val child : backend:backend -> root:int64 -> index:int -> unit -> t
-(** [child ~root ~index ()] is [create ~seed:(derive_seed root index)]:
+val child : root:int64 -> index:int -> unit -> t
+(** [child ~root ~index ()] is [create ~seed:(derive_seed root index) ()]:
     the generator for substream [index] of [root]. *)
-
-val fill_floats : t -> float array -> unit
-(** [fill_floats t a] overwrites [a] with uniform [0,1) samples. *)

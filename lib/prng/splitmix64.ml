@@ -12,8 +12,3 @@ let[@inline] next t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
-
-let next_float t =
-  (* Top 53 bits give a uniform dyadic rational in [0,1). *)
-  let bits = Int64.shift_right_logical (next t) 11 in
-  Int64.to_float bits *. 0x1.0p-53

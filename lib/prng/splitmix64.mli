@@ -2,8 +2,8 @@
 
     A tiny, fast, well-distributed 64-bit generator.  Its main role in
     this library is to expand a single user seed into the larger state
-    vectors required by {!Xoshiro256} and {!Pcg32}, which is the seeding
-    procedure recommended by the xoshiro authors. *)
+    vector of {!Xoshiro256} (the seeding procedure recommended by the
+    xoshiro authors) and to derive child seeds ({!Rng.derive_seed}). *)
 
 type t
 (** Mutable generator state. *)
@@ -13,7 +13,3 @@ val create : int64 -> t
 
 val next : t -> int64
 (** [next t] returns 64 fresh pseudo-random bits and advances the state. *)
-
-val next_float : t -> float
-(** [next_float t] returns a uniform float in [0, 1) using the top 53
-    bits of {!next}. *)

@@ -1,7 +1,7 @@
 (** Xoshiro256++ pseudo-random generator (Blackman, Vigna 2019).
 
     256-bit state, period 2^256 - 1, excellent statistical quality; the
-    default generator of this library. *)
+    generator of this library ({!Rng}). *)
 
 type t
 (** Mutable generator state. *)
@@ -29,7 +29,3 @@ val restore : t -> int64 array -> unit
     in place.
     @raise Invalid_argument if [Array.length s <> 4] or all words
     are 0 (the absorbing state). *)
-
-val jump : t -> unit
-(** [jump t] advances the state by 2^128 steps, used to split one stream
-    into non-overlapping substreams for independent simulations. *)

@@ -244,11 +244,8 @@ module Overlap_add = struct
     tail : FA.t;      (* taps-1 carried convolution tail *)
   }
 
-  let taps t = t.taps
 
   let block t = t.block
-
-  let fft_length t = t.m
 
   let create ~h ~block =
     let taps = FA.length h in

@@ -52,14 +52,8 @@ module Overlap_add : sig
       input blocks of at most [block] samples.
       @raise Invalid_argument if [h] is empty or [block <= 0]. *)
 
-  val taps : t -> int
-  (** Filter length the convolver was built with. *)
-
   val block : t -> int
   (** Maximum samples accepted by one [process] call. *)
-
-  val fft_length : t -> int
-  (** Internal transform length [next_pow2 (block + taps - 1)]. *)
 
   val process :
     t ->

@@ -133,4 +133,3 @@ let crossover_tau ~h0 ~hm1 =
 
 let avar_white_fm ~h0 ~tau = h0 /. (2.0 *. tau)
 let avar_flicker_fm ~hm1 = 2.0 *. log 2.0 *. hm1
-let avar_random_walk_fm ~hm2 ~tau = 2.0 *. Float.pi *. Float.pi /. 3.0 *. hm2 *. tau

@@ -68,6 +68,3 @@ val avar_white_fm : h0:float -> tau:float -> float
 
 val avar_flicker_fm : hm1:float -> float
 (** Flicker FM: [2 ln 2 * h_{-1}], independent of tau. *)
-
-val avar_random_walk_fm : hm2:float -> tau:float -> float
-(** Random-walk FM: [(2 pi^2 / 3) h_{-2} tau]. *)

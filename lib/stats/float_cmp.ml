@@ -1,9 +1,3 @@
 let default_eps = 1e-12
 
 let near_zero ?(eps = default_eps) x = Float.abs x < eps
-
-let approx_eq ?(rtol = 1e-9) ?(atol = default_eps) a b =
-  Float.abs (a -. b) <= atol +. (rtol *. Float.max (Float.abs a) (Float.abs b))
-
-let safe_div ?eps ~default num den =
-  if near_zero ?eps den then default else num /. den

@@ -16,13 +16,3 @@ val near_zero : ?eps:float -> float -> bool
     guards in front of divisions or degenerate-case dispatches: values
     small enough to underflow downstream are handled like zero instead
     of producing inf/NaN. *)
-
-val approx_eq : ?rtol:float -> ?atol:float -> float -> float -> bool
-(** [approx_eq a b] is [|a - b| <= atol + rtol * max |a| |b|] (the
-    numpy [isclose] shape); [rtol] defaults to [1e-9], [atol] to
-    {!default_eps}. *)
-
-val safe_div : ?eps:float -> default:float -> float -> float -> float
-(** [safe_div ~default num den] is [num /. den], or [default] when
-    [den] is {!near_zero} — a total division for ratio metrics where a
-    degenerate denominator has a meaningful fallback. *)

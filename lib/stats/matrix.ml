@@ -22,12 +22,6 @@ let of_rows rws =
     rws;
   m
 
-let identity n =
-  let m = create ~rows:n ~cols:n in
-  for i = 0 to n - 1 do
-    set m i i 1.0
-  done;
-  m
 
 let transpose m =
   let out = create ~rows:m.cols ~cols:m.rows in

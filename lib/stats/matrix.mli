@@ -27,8 +27,6 @@ val set : t -> int -> int -> float -> unit
 val copy : t -> t
 (** Independent copy of the storage. *)
 
-val identity : int -> t
-(** [identity n] is the n-by-n identity. *)
 
 val transpose : t -> t
 (** Fresh transposed matrix. *)

@@ -78,44 +78,4 @@ let general ~design ~y ?sigma () =
   in
   { coeffs; cov; chi2 = !chi2; dof }
 
-let polynomial ~degree ~x ~y =
-  if degree < 0 then invalid_arg "Regression.polynomial: negative degree";
-  let m = Array.length x in
-  if Array.length y <> m then invalid_arg "Regression.polynomial: length mismatch";
-  let p = degree + 1 in
-  (* Scale x by its max magnitude so Vandermonde columns stay O(1). *)
-  let scale =
-    Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x
-  in
-  let scale = if scale = 0.0 then 1.0 else scale in
-  let design = Matrix.create ~rows:m ~cols:p in
-  for i = 0 to m - 1 do
-    let xv = x.(i) /. scale in
-    let pow = ref 1.0 in
-    for j = 0 to p - 1 do
-      Matrix.set design i j !pow;
-      pow := !pow *. xv
-    done
-  done;
-  let fit = general ~design ~y () in
-  (* Undo the column scaling on coefficients and covariance. *)
-  let coeffs = Array.mapi (fun j c -> c /. (scale ** float_of_int j)) fit.coeffs in
-  let cov = Matrix.copy fit.cov in
-  for i = 0 to p - 1 do
-    for j = 0 to p - 1 do
-      let s = scale ** float_of_int (i + j) in
-      Matrix.set cov i j (Matrix.get fit.cov i j /. s)
-    done
-  done;
-  { fit with coeffs; cov }
-
 let coeff_se fit k = sqrt (Float.max 0.0 (Matrix.get fit.cov k k))
-
-let predict_poly fit x =
-  let acc = ref 0.0 and pow = ref 1.0 in
-  Array.iter
-    (fun c ->
-      acc := !acc +. (c *. !pow);
-      pow := !pow *. x)
-    fit.coeffs;
-  !acc

@@ -30,12 +30,5 @@ val general :
     [(A^T W A)^-1] (absolute); without, it is scaled by the residual
     variance. @raise Invalid_argument on size mismatches. *)
 
-val polynomial : degree:int -> x:float array -> y:float array -> fit
-(** Polynomial fit; [coeffs.(k)] multiplies [x^k].  Columns are scaled
-    internally for conditioning. *)
-
 val coeff_se : fit -> int -> float
 (** Standard error of the k-th coefficient (sqrt of cov diagonal). *)
-
-val predict_poly : fit -> float -> float
-(** Evaluate a {!polynomial} fit at a point. *)

@@ -17,7 +17,6 @@ let open_ path =
   channel := Some (open_out path);
   t0 := Clock.now ()
 
-let is_open () = !channel <> None
 
 let emit ?(kind = "event") fields =
   if !Registry.on then

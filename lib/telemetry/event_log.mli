@@ -9,8 +9,6 @@ val open_ : string -> unit
 val close : unit -> unit
 (** Flush and close the current log; no-op when none is open. *)
 
-val is_open : unit -> bool
-(** Whether a log file is currently open. *)
 
 val emit : ?kind:string -> (string * Json.t) list -> unit
 (** Append one event line [{"ev": kind, "t": <seconds>, ...fields}].

@@ -1,7 +1,6 @@
 let on = ref false
 let enable () = on := true
 let disable () = on := false
-let enabled () = !on
 
 (* Counters are atomics and histograms carry their own lock, so metric
    updates from worker domains (Ptrng_exec pools) are safe and no
@@ -82,7 +81,6 @@ module Gauge = struct
     | _ -> invalid_arg (Printf.sprintf "Registry: %s is not a gauge" name)
 
   let set g value = if !on then g.g_value <- value
-  let value g = g.g_value
 end
 
 module Hist = struct

@@ -22,9 +22,6 @@ val enable : unit -> unit
 val disable : unit -> unit
 (** Turn telemetry off; instrumentation sites become no-ops. *)
 
-val enabled : unit -> bool
-(** Current state of {!on}. *)
-
 val reset : unit -> unit
 (** Zero every registered metric (values, not registrations). *)
 
@@ -59,8 +56,6 @@ module Gauge : sig
 
   val set : t -> float -> unit
   (** No-op unless telemetry is enabled. *)
-
-  val value : t -> float
 end
 
 module Hist : sig

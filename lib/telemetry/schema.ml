@@ -39,7 +39,6 @@ let all =
 
 let find name = List.find_opt (fun e -> e.name = name) all
 
-let version name = Option.map (fun e -> e.version) (find name)
 
 let tag name version = Printf.sprintf "ptrng-%s/%d" name version
 

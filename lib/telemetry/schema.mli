@@ -19,8 +19,6 @@ val all : entry list
 val find : string -> entry option
 (** [find name] is the registry entry for [name], if registered. *)
 
-val version : string -> int option
-(** [version name] is the current version of [name], if registered. *)
 
 val tag : string -> int -> string
 (** [tag name v] is ["ptrng-<name>/<v>"] — no registry check; prefer

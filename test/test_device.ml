@@ -28,11 +28,6 @@ let mosfet_tests =
         let short = Mosfet.create ~gm:2e-3 ~i_d:1e-4 ~w:1e-6 ~l:50e-9 ~alpha:1e-10 () in
         Testkit.check_rel ~tol:1e-12 "4x" 4.0
           (Mosfet.flicker_coefficient short /. Mosfet.flicker_coefficient base));
-    Testkit.case "total PSD adds the two sources (paper eq. 1)" (fun () ->
-        let m = nominal_mosfet () in
-        Testkit.check_rel ~tol:1e-12 "sum"
-          (Mosfet.thermal_psd m +. Mosfet.flicker_psd m 1e4)
-          (Mosfet.total_psd m 1e4));
     Testkit.case "corner frequency crosses over" (fun () ->
         let m = nominal_mosfet () in
         let fc = Mosfet.corner_frequency m in

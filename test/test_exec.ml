@@ -64,18 +64,46 @@ let pool_tests =
               expected
               (Pool.parallel_filter_map ~domains:d keep_even xs))
           domain_counts);
-    Testkit.case "parallel_reduce folds non-commutative combine in order" (fun () ->
-        let xs = Array.init 21 (fun i -> i) in
-        let expected =
-          Array.fold_left (fun acc x -> acc ^ string_of_int x) "" xs
-        in
-        check_invariant "concat" (fun d ->
-            Pool.parallel_reduce ~domains:d ~map:string_of_int ~combine:( ^ )
-              ~init:"" xs);
-        Alcotest.(check string)
-          "matches sequential" expected
-          (Pool.parallel_reduce ~domains:4 ~map:string_of_int ~combine:( ^ )
-             ~init:"" xs));
+    Testkit.case "parallel_mapi passes each index" (fun () ->
+        let xs = Array.init 37 (fun i -> 100 - i) in
+        check_invariant "mapi" (fun d ->
+            Pool.parallel_mapi ~domains:d (fun i x -> (i, x)) xs);
+        Array.iteri
+          (fun i (j, x) ->
+            Alcotest.(check int) "index" i j;
+            Alcotest.(check int) "value" xs.(i) x)
+          (Pool.parallel_mapi ~domains:4 (fun i x -> (i, x)) xs));
+    Testkit.case "run_tasks runs every index exactly once" (fun () ->
+        List.iter
+          (fun d ->
+            let hits = Array.init 50 (fun _ -> Atomic.make 0) in
+            Pool.run_tasks ~domains:d ~n_tasks:50 (fun i -> Atomic.incr hits.(i));
+            Array.iteri
+              (fun i h ->
+                Alcotest.(check int) (Printf.sprintf "domains=%d task %d" d i) 1 (Atomic.get h))
+              hits)
+          domain_counts;
+        Pool.run_tasks ~domains:4 ~n_tasks:0 (fun _ -> Alcotest.fail "no task expected"));
+    Testkit.case "bad sizes are rejected" (fun () ->
+        Alcotest.check_raises "n_tasks -1" (Invalid_argument "Pool.run_tasks: n_tasks < 0")
+          (fun () -> Pool.run_tasks ~domains:1 ~n_tasks:(-1) ignore);
+        Alcotest.check_raises "domains 0" (Invalid_argument "Pool.resolve: domains < 1")
+          (fun () -> ignore (Pool.resolve ~domains:0 ()));
+        Alcotest.check_raises "chunk 0" (Invalid_argument "Pool: chunk <= 0") (fun () ->
+            ignore
+              (Pool.parallel_init_floats ~domains:1 ~chunk:0 ~rng:(Testkit.rng ())
+                 ~fill:(fun _ ~offset:_ ~len:_ _ -> ())
+                 8));
+        Alcotest.check_raises "n -1" (Invalid_argument "Pool.parallel_init_floats: n < 0")
+          (fun () ->
+            ignore
+              (Pool.parallel_init_floats ~domains:1 ~rng:(Testkit.rng ())
+                 ~fill:(fun _ ~offset:_ ~len:_ _ -> ())
+                 (-1)));
+        Alcotest.check_raises "streams -1"
+          (Invalid_argument "Pool.parallel_map_streams: n < 0") (fun () ->
+            ignore
+              (Pool.parallel_map_streams ~domains:1 ~rng:(Testkit.rng ()) (fun _ _ -> ()) (-1))));
     Testkit.case "a worker exception aborts the section and re-raises" (fun () ->
         let xs = Array.init 64 (fun i -> i) in
         Alcotest.check_raises "original exception" (Failure "boom") (fun () ->
@@ -155,6 +183,17 @@ let rng_stream_tests =
           Rng.bits64 rng
         in
         check_invariant "next caller draw" after);
+    Testkit.case "map_streams task i draws child i of one root" (fun () ->
+        let rng = Testkit.rng ~seed:32L () in
+        let draws =
+          Pool.parallel_map_streams ~domains:4 ~rng (fun _ child -> Rng.bits64 child) 9
+        in
+        let root = Rng.bits64 (Testkit.rng ~seed:32L ()) in
+        Array.iteri
+          (fun index v ->
+            Alcotest.(check int64) (Printf.sprintf "task %d" index)
+              (Rng.bits64 (Rng.child ~root ~index ())) v)
+          draws);
     Testkit.case "map_streams derives one stream per task" (fun () ->
         check_invariant "streams" (fun d ->
             let rng = Testkit.rng ~seed:31L () in
@@ -178,7 +217,7 @@ let workload_tests =
   [
     Testkit.case "variance curve is bit-identical across domains" (fun () ->
         let jitter =
-          let g = Ptrng_prng.Gaussian.create (Testkit.rng ~seed:41L ()) in
+          let g = Testkit.rng ~seed:41L () in
           Array.init 20000 (fun _ -> 1e-12 *. Ptrng_prng.Gaussian.draw g)
         in
         let ns = Ptrng_measure.Variance_curve.log2_grid ~n_min:4 ~n_max:1024 in
@@ -220,6 +259,21 @@ let workload_tests =
         check_invariant "restart ensemble" (fun d ->
             Ptrng_osc.Restart.ensemble ~domains:d (Testkit.rng ~seed:63L ())
               cfg ~restarts:16 ~n:512));
+    Testkit.slow_case "characterize replicates are bit-identical across domains"
+      (fun () ->
+        let pair = Ptrng_osc.Pair.paper_pair () in
+        check_invariant "fitted ensemble" (fun d ->
+            Pool.parallel_map_streams ~domains:d ~rng:(Testkit.rng ~seed:81L ())
+              (fun _ rng ->
+                let a = Ptrng_model.Multilevel.characterize ~n_periods:2048 ~rng pair in
+                (a.fit.a, a.fit.b))
+              3));
+    Testkit.case "phase chain runs are bit-identical across domains" (fun () ->
+        let chain = Ptrng_model.Phase_chain.create ~bins:64 ~drift:0.1 ~diffusion:0.4 () in
+        check_invariant "phase chain runs" (fun d ->
+            Pool.parallel_map_streams ~domains:d ~rng:(Testkit.rng ~seed:82L ())
+              (fun _ rng -> Ptrng_model.Phase_chain.simulate rng chain ~bits:500)
+              6));
     Testkit.case "test batteries return identical reports across domains"
       (fun () ->
         let bits =
@@ -230,25 +284,6 @@ let workload_tests =
             Ptrng_nist22.Sp80022.run_all ~domains:d bits);
         check_invariant "sp800-90b" (fun d ->
             Ptrng_sp90b.Estimators.run_all ~domains:d bits));
-    Testkit.slow_case "monte_carlo replicates are bit-identical across domains"
-      (fun () ->
-        let pair = Ptrng_osc.Pair.paper_pair () in
-        check_invariant "fitted ensemble" (fun d ->
-            let rng = Testkit.rng ~seed:81L () in
-            let runs =
-              Ptrng_model.Multilevel.monte_carlo ~domains:d ~n_periods:2048
-                ~rng ~replicates:3 pair
-            in
-            Array.map
-              (fun (a : Ptrng_model.Multilevel.analysis) -> (a.fit.a, a.fit.b))
-              runs);
-        check_invariant "phase chain runs" (fun d ->
-            let chain =
-              Ptrng_model.Phase_chain.create ~bins:64 ~drift:0.1 ~diffusion:0.4 ()
-            in
-            Ptrng_model.Phase_chain.simulate_many ~domains:d
-              (Testkit.rng ~seed:82L ())
-              chain ~runs:6 ~bits:500));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -331,6 +331,29 @@ let callgraph_tests =
           "witness path, root first"
           [ "Cg_root.run"; "Cg_leaf.f" ]
           (A.Callgraph.witness parents "Cg_leaf.f"));
+    Testkit.case "a call through a let-module alias is an edge" (fun () ->
+        let g =
+          A.Callgraph.build
+            (compile_all
+               [
+                 ("cg_lib", "module Inner = struct let g x = x - 1 end\n");
+                 ( "cg_user",
+                   "module L = Cg_lib\n\
+                    let direct x = let module M = Cg_lib.Inner in M.g x\n\
+                    let chained x = let module I = L.Inner in I.g x\n" );
+               ])
+        in
+        List.iter
+          (fun caller ->
+            match A.Callgraph.find g caller with
+            | None -> Alcotest.failf "%s not in the graph" caller
+            | Some n ->
+              Testkit.check_true (caller ^ " calls Cg_lib.Inner.g")
+                (List.mem "Cg_lib.Inner.g" n.A.Callgraph.callees);
+              Alcotest.(check (list string))
+                (caller ^ " has no unresolved external") []
+                n.A.Callgraph.externals)
+          [ "Cg_user.direct"; "Cg_user.chained" ]);
   ]
 
 (* R7 against a fixture-local manifest. *)

@@ -84,7 +84,7 @@ let variance_curve_tests =
         done;
         Testkit.check_true "covers the top" (g.(Array.length g - 1) = 10000));
     Testkit.case "white jitter produces a linear curve" (fun () ->
-        let g = Ptrng_prng.Gaussian.create (Testkit.rng ()) in
+        let g = Testkit.rng () in
         let sigma = 15.89e-12 in
         let j = Array.init (1 lsl 17) (fun _ -> sigma *. Ptrng_prng.Gaussian.draw g) in
         let ns = [| 16; 64; 256 |] in
@@ -104,7 +104,7 @@ let variance_curve_tests =
             Testkit.check_true "within 4 se" (Float.abs (p.sigma2 -. truth) < 4.0 *. p.stderr))
           pts);
     Testkit.case "overlapping and disjoint estimates agree" (fun () ->
-        let g = Ptrng_prng.Gaussian.create (Testkit.rng ()) in
+        let g = Testkit.rng () in
         let j = Array.init (1 lsl 16) (fun _ -> Ptrng_prng.Gaussian.draw g) in
         let ns = [| 32 |] in
         let a = (Variance_curve.of_jitter ~overlapping:true ~f0 ~ns j).(0) in
@@ -163,7 +163,7 @@ let robustness_tests =
 
 let fit_tests =
   let synthetic_points ?(noise = 0.0) ~a ~b ~c ns =
-    let g = Ptrng_prng.Gaussian.create (Testkit.rng ~seed:21L ()) in
+    let g = Testkit.rng ~seed:21L () in
     Array.map
       (fun n ->
         let fn = float_of_int n in
@@ -290,46 +290,6 @@ let quantization_tests =
              ~n:100000));
   ]
 
-let trace_tests =
-  let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name in
-  [
-    Testkit.case "series round-trips exactly" (fun () ->
-        let path = tmp "ptrng_series_test.csv" in
-        let series = [| 1.5; -2.25e-12; 0.0; 1e300; 3.141592653589793 |] in
-        Trace.save_series ~path series;
-        let back = Trace.load_series ~path in
-        Sys.remove path;
-        Alcotest.(check (array (float 0.0))) "identical" series back);
-    Testkit.case "curve round-trips exactly" (fun () ->
-        let path = tmp "ptrng_curve_test.csv" in
-        let pts =
-          [|
-            { Variance_curve.n = 4; sigma2 = 1e-21; scaled = 1e-5; neff = 100; stderr = 1e-22 };
-            { Variance_curve.n = 4096; sigma2 = 3e-18; scaled = 3e-2; neff = 7; stderr = 2e-18 };
-          |]
-        in
-        Trace.save_curve ~path pts;
-        let back = Trace.load_curve ~path in
-        Sys.remove path;
-        Alcotest.(check int) "count" 2 (Array.length back);
-        Array.iteri
-          (fun i (p : Variance_curve.point) ->
-            Alcotest.(check int) "n" pts.(i).Variance_curve.n p.n;
-            Testkit.check_rel ~tol:0.0 "sigma2" pts.(i).Variance_curve.sigma2 p.sigma2;
-            Alcotest.(check int) "neff" pts.(i).Variance_curve.neff p.neff)
-          back);
-    Testkit.case "malformed content raises" (fun () ->
-        let path = tmp "ptrng_bad_test.csv" in
-        let oc = open_out path in
-        output_string oc "n,sigma2,scaled,neff,stderr\n1,2,3\n";
-        close_out oc;
-        (try
-           ignore (Trace.load_curve ~path);
-           Alcotest.fail "expected Failure"
-         with Failure _ -> ());
-        Sys.remove path);
-  ]
-
 let online_test_tests =
   (* Mechanism-level scenario: thermal jitter amplified 1000x so the
      counter resolves it with a small simulation budget.  The
@@ -391,6 +351,5 @@ let () =
       ("robustness", robustness_tests);
       ("thermal_extract", thermal_extract_tests);
       ("quantization", quantization_tests);
-      ("trace", trace_tests);
       ("online_test", online_test_tests);
     ]

@@ -93,12 +93,6 @@ let bienayme_tests =
         Array.iter
           (fun (_, r) -> Testkit.check_rel ~tol:1e-6 "flat" 1.0 r)
           (Bienayme.departure_ratio pts));
-    Testkit.case "significance flag fires only under flicker" (fun () ->
-        let flicker = synthetic paper_phase in
-        Testkit.check_true "flagged" (Bienayme.excess_is_significant flicker ~z_threshold:5.0);
-        let white = synthetic { Ptrng_noise.Psd_model.b_th = 276.0; b_fl = 0.0 } in
-        Testkit.check_false "not flagged"
-          (Bienayme.excess_is_significant white ~z_threshold:5.0));
   ]
 
 let entropy_tests =
@@ -364,14 +358,6 @@ let design_tests =
 
 let multilevel_tests =
   [
-    Testkit.case "predicted curve matches the closed form" (fun () ->
-        let curve =
-          Multilevel.predicted_curve paper_phase ~f0 ~ns:[| 10; 100 |]
-        in
-        Array.iter
-          (fun (n, v) ->
-            Testkit.check_rel ~tol:1e-12 "scaled" (Spectral.scaled paper_phase ~f0 ~n) v)
-          curve);
     Testkit.case "nominal f0 averages the pair" (fun () ->
         let pair =
           Ptrng_osc.Pair.of_relative ~detuning:1e-3 ~f0 ~relative:paper_phase ()

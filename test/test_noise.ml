@@ -78,7 +78,7 @@ let kasdin_tests =
         let level = Ptrng_signal.Psd.band_mean s ~f_lo:(f_ref /. 1.3) ~f_hi:(f_ref *. 1.3) in
         Testkit.check_rel ~tol:0.25 "level" (hm1 /. f_ref) level);
     Testkit.case "stream agrees with block spectrum above fs/taps" (fun () ->
-        let g = Ptrng_prng.Gaussian.create (Testkit.rng ()) in
+        let g = Testkit.rng () in
         let sigma_w = sqrt (Float.pi *. 1e-4) in
         let st = Kasdin.stream_create g ~alpha:1.0 ~sigma_w ~taps:1024 in
         let n = 1 lsl 15 in
@@ -145,30 +145,99 @@ let spectral_synth_tests =
     Testkit.case "flicker synthesis matches the Allan closed form" (fun () ->
         let rng = Testkit.rng ~seed:123L () in
         let hm1 = 2e-6 in
-        let model = { Psd_model.h0 = 0.0; hm1; hm2 = 0.0 } in
-        let y = Spectral_synth.generate_frac_freq rng ~model ~fs:1.0 (1 lsl 17) in
+        let y = Spectral_synth.generate rng ~psd:(fun f -> hm1 /. f) ~fs:1.0 (1 lsl 17) in
         let reference = Ptrng_stats.Allan.avar_flicker_fm ~hm1 in
         List.iter
           (fun m ->
             let est = Ptrng_stats.Allan.avar_overlapping ~tau0:1.0 ~m y in
             Testkit.check_rel ~tol:0.2 (Printf.sprintf "m=%d" m) reference est)
           [ 8; 64; 512 ]);
+    Testkit.case "white FM synthesis matches the Allan closed form" (fun () ->
+        let rng = Testkit.rng ~seed:124L () in
+        let h0 = 3e-5 in
+        let y = Spectral_synth.generate rng ~psd:(fun _ -> h0) ~fs:1.0 (1 lsl 16) in
+        List.iter
+          (fun m ->
+            let tau = float_of_int m in
+            let est = Ptrng_stats.Allan.avar_overlapping ~tau0:1.0 ~m y in
+            Testkit.check_rel ~tol:0.15 (Printf.sprintf "m=%d" m)
+              (Ptrng_stats.Allan.avar_white_fm ~h0 ~tau) est)
+          [ 1; 8; 64 ]);
     Testkit.case "white + flicker mixture has both regimes" (fun () ->
         let rng = Testkit.rng () in
-        let model = { Psd_model.h0 = 1e-4; hm1 = 1e-6; hm2 = 0.0 } in
-        let y = Spectral_synth.generate_frac_freq rng ~model ~fs:1.0 (1 lsl 16) in
+        let h0 = 1e-4 and hm1 = 1e-6 in
+        let y = Spectral_synth.generate rng ~psd:(fun f -> h0 +. (hm1 /. f)) ~fs:1.0 (1 lsl 16) in
         let s = Ptrng_signal.Psd.welch ~seg_len:4096 ~fs:1.0 y in
         (* At high f the white floor dominates, at low f the 1/f term. *)
         let high = Ptrng_signal.Psd.band_mean s ~f_lo:0.2 ~f_hi:0.45 in
-        Testkit.check_rel ~tol:0.1 "white floor" 1e-4 high;
+        Testkit.check_rel ~tol:0.1 "white floor" h0 high;
         let low = Ptrng_signal.Psd.band_mean s ~f_lo:0.002 ~f_hi:0.004 in
-        Testkit.check_rel ~tol:0.35 "flicker lift"
-          (1e-4 +. (1e-6 /. 0.003)) low);
+        Testkit.check_rel ~tol:0.35 "flicker lift" (h0 +. (hm1 /. 0.003)) low);
     Testkit.case "zero model yields silence" (fun () ->
         let rng = Testkit.rng () in
-        let model = { Psd_model.h0 = 0.0; hm1 = 0.0; hm2 = 0.0 } in
-        let y = Spectral_synth.generate_frac_freq rng ~model ~fs:1.0 256 in
+        let y = Spectral_synth.generate rng ~psd:(fun _ -> 0.0) ~fs:1.0 256 in
         Array.iter (fun v -> Testkit.check_abs ~tol:0.0 "zero" 0.0 v) y);
+    Testkit.case "block has zero mean (DC bin forced to zero)" (fun () ->
+        let rng = Testkit.rng () in
+        let y = Spectral_synth.generate rng ~psd:(fun f -> 1e-3 /. f) ~fs:1.0 4096 in
+        let scale = sqrt (Ptrng_stats.Descriptive.variance y) in
+        Testkit.check_abs ~tol:(1e-12 *. scale) "mean" 0.0 (Ptrng_stats.Descriptive.mean y));
+    Testkit.case "generate advances the caller by one draw" (fun () ->
+        let rng = Testkit.rng ~seed:5L () and twin = Testkit.rng ~seed:5L () in
+        ignore (Spectral_synth.generate rng ~psd:(fun _ -> 1.0) ~fs:1.0 1024);
+        ignore (Ptrng_prng.Rng.bits64 twin);
+        Alcotest.(check int64) "next draw" (Ptrng_prng.Rng.bits64 twin)
+          (Ptrng_prng.Rng.bits64 rng));
+    Testkit.case "generate is generate_with_root on one root draw" (fun () ->
+        let psd f = 1.0 +. (0.1 /. f) in
+        let y = Spectral_synth.generate (Testkit.rng ~seed:6L ()) ~psd ~fs:2.0 2048 in
+        let root = Ptrng_prng.Rng.bits64 (Testkit.rng ~seed:6L ()) in
+        let z = Spectral_synth.generate_with_root ~domains:1 ~root ~psd ~fs:2.0 2048 in
+        Alcotest.(check string) "same block"
+          (Testkit.float_digest (Array.to_seq y))
+          (Testkit.float_digest (Float.Array.to_seq z)));
+    Testkit.case "generate_into with cached amplitudes equals generate_with_root"
+      (fun () ->
+        let psd f = 2.0 /. f and n = 1024 in
+        let amplitudes = Spectral_synth.amplitudes ~psd ~fs:1.0 n in
+        Alcotest.(check int) "n/2 bins" (n / 2) (Float.Array.length amplitudes);
+        let re = Float.Array.make n nan in
+        Spectral_synth.generate_into ~domains:1 ~root:77L ~amplitudes re;
+        let z = Spectral_synth.generate_with_root ~domains:1 ~root:77L ~psd ~fs:1.0 n in
+        Alcotest.(check string) "same block"
+          (Testkit.float_digest (Float.Array.to_seq z))
+          (Testkit.float_digest (Float.Array.to_seq re)));
+    Testkit.case "generate_into rejects mismatched buffers" (fun () ->
+        let amplitudes = Spectral_synth.amplitudes ~psd:(fun _ -> 1.0) ~fs:1.0 64 in
+        Alcotest.check_raises "length 100"
+          (Invalid_argument "Spectral_synth.generate_into: length not a power of two")
+          (fun () ->
+            Spectral_synth.generate_into ~domains:1 ~root:1L ~amplitudes
+              (Float.Array.create 100));
+        Alcotest.check_raises "length 128"
+          (Invalid_argument "Spectral_synth.generate_into: amplitudes length <> n/2")
+          (fun () ->
+            Spectral_synth.generate_into ~domains:1 ~root:1L ~amplitudes
+              (Float.Array.create 128)));
+    Testkit.case "generate_many gives distinct blocks" (fun () ->
+        let blocks =
+          Spectral_synth.generate_many (Testkit.rng ()) ~psd:(fun _ -> 1.0) ~fs:1.0
+            ~count:3 256
+        in
+        Alcotest.(check int) "count" 3 (Array.length blocks);
+        Array.iter (fun b -> Alcotest.(check int) "length" 256 (Array.length b)) blocks;
+        Testkit.check_true "0 <> 1" (blocks.(0) <> blocks.(1));
+        Testkit.check_true "1 <> 2" (blocks.(1) <> blocks.(2));
+        Alcotest.check_raises "count -1"
+          (Invalid_argument "Spectral_synth.generate_many: count < 0")
+          (fun () ->
+            ignore
+              (Spectral_synth.generate_many (Testkit.rng ()) ~psd:(fun _ -> 1.0) ~fs:1.0
+                 ~count:(-1) 256)));
+    Testkit.case "rejects non-positive fs" (fun () ->
+        Alcotest.check_raises "fs 0" (Invalid_argument "Spectral_synth.generate: fs <= 0")
+          (fun () ->
+            ignore (Spectral_synth.generate (Testkit.rng ()) ~psd:(fun _ -> 1.0) ~fs:0.0 64)));
     Testkit.case "rejects non-pow2 length" (fun () ->
         let rng = Testkit.rng () in
         Alcotest.check_raises "100"

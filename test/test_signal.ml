@@ -160,14 +160,14 @@ let window_tests =
 let psd_tests =
   [
     Testkit.case "white noise level is 2 sigma^2 / fs" (fun () ->
-        let g = Ptrng_prng.Gaussian.create (Testkit.rng ()) in
+        let g = Testkit.rng () in
         let sigma = 0.7 and fs = 1000.0 in
         let x = Array.init (1 lsl 16) (fun _ -> sigma *. Ptrng_prng.Gaussian.draw g) in
         let s = Psd.welch ~seg_len:1024 ~fs x in
         let level = Psd.band_mean s ~f_lo:(fs /. 20.0) ~f_hi:(fs /. 2.2) in
         Testkit.check_rel ~tol:0.05 "level" (2.0 *. sigma *. sigma /. fs) level);
     Testkit.case "total power approximates variance" (fun () ->
-        let g = Ptrng_prng.Gaussian.create (Testkit.rng ()) in
+        let g = Testkit.rng () in
         let x = Array.init (1 lsl 15) (fun _ -> Ptrng_prng.Gaussian.draw g) in
         let s = Psd.welch ~seg_len:2048 ~fs:1.0 x in
         Testkit.check_rel ~tol:0.05 "power" 1.0 (Psd.total_power s));
@@ -204,7 +204,7 @@ let psd_tests =
 let autocorr_tests =
   [
     Testkit.case "white noise ACF is a delta" (fun () ->
-        let g = Ptrng_prng.Gaussian.create (Testkit.rng ()) in
+        let g = Testkit.rng () in
         let x = Array.init 50000 (fun _ -> Ptrng_prng.Gaussian.draw g) in
         let r = Autocorr.acf ~max_lag:20 x in
         Testkit.check_rel ~tol:1e-12 "lag 0" 1.0 r.(0);
@@ -213,7 +213,7 @@ let autocorr_tests =
           Testkit.check_abs ~tol:bound "white lag" 0.0 r.(k)
         done);
     Testkit.case "AR(1) ACF decays geometrically" (fun () ->
-        let g = Ptrng_prng.Gaussian.create (Testkit.rng ()) in
+        let g = Testkit.rng () in
         let phi = 0.8 in
         let n = 200000 in
         let x = Array.make n 0.0 in

@@ -1,7 +1,7 @@
 open Ptrng_stats
 
 let gaussian_array ?(seed = 0x5EEDL) ?(sigma = 1.0) n =
-  let g = Ptrng_prng.Gaussian.create (Testkit.rng ~seed ()) in
+  let g = Testkit.rng ~seed () in
   Array.init n (fun _ -> sigma *. Ptrng_prng.Gaussian.draw g)
 
 let descriptive_tests =
@@ -42,30 +42,6 @@ let descriptive_tests =
     Testkit.case "standard error of variance" (fun () ->
         Testkit.check_rel ~tol:1e-12 "se" (2.0 *. sqrt (2.0 /. 99.0))
           (Descriptive.standard_error_of_variance ~n:100 ~variance:2.0));
-  ]
-
-let histogram_tests =
-  [
-    Testkit.case "counts land in the right bins" (fun () ->
-        let h = Histogram.make ~bins:4 ~range:(0.0, 4.0) [| 0.5; 1.5; 1.6; 2.5; 3.9 |] in
-        Alcotest.(check (array int)) "counts" [| 1; 2; 1; 1 |] h.counts);
-    Testkit.case "outliers are clamped to edge bins" (fun () ->
-        let h = Histogram.make ~bins:2 ~range:(0.0, 2.0) [| -5.0; 0.5; 9.0 |] in
-        Alcotest.(check (array int)) "counts" [| 2; 1 |] h.counts);
-    Testkit.case "density integrates to one" (fun () ->
-        let x = gaussian_array 10000 in
-        let h = Histogram.make ~bins:40 x in
-        let d = Histogram.density h in
-        let acc = ref 0.0 in
-        Array.iteri (fun i v -> acc := !acc +. (v *. (h.edges.(i + 1) -. h.edges.(i)))) d;
-        Testkit.check_rel ~tol:1e-9 "integral" 1.0 !acc);
-    Testkit.case "bin centers are midpoints" (fun () ->
-        let h = Histogram.make ~bins:2 ~range:(0.0, 2.0) [| 0.5 |] in
-        Alcotest.(check (array (float 1e-12))) "centers" [| 0.5; 1.5 |]
-          (Histogram.bin_centers h));
-    Testkit.case "rejects empty range" (fun () ->
-        Alcotest.check_raises "range" (Invalid_argument "Histogram.make: empty range")
-          (fun () -> ignore (Histogram.make ~bins:4 ~range:(1.0, 1.0) [| 1.0 |])));
   ]
 
 (* math.erfc from CPython, which shares no code with Special:
@@ -303,28 +279,12 @@ let regression_tests =
         Testkit.check_rel ~tol:1e-12 "r2" 1.0 f.r2;
         Testkit.check_abs ~tol:1e-9 "slope se" 0.0 f.slope_se);
     Testkit.case "noisy line: estimate within 4 standard errors" (fun () ->
-        let g = Ptrng_prng.Gaussian.create (Testkit.rng ()) in
+        let g = Testkit.rng () in
         let x = Array.init 500 (fun i -> float_of_int i /. 10.0) in
         let y = Array.map (fun v -> (1.5 *. v) +. 2.0 +. Ptrng_prng.Gaussian.draw g) x in
         let f = Regression.linear ~x ~y in
         Testkit.check_abs ~tol:(4.0 *. f.slope_se) "slope" 1.5 f.slope;
         Testkit.check_abs ~tol:(4.0 *. f.intercept_se) "intercept" 2.0 f.intercept);
-    Testkit.case "polynomial fit recovers a planted cubic" (fun () ->
-        let x = Array.init 50 (fun i -> (float_of_int i /. 5.0) -. 5.0) in
-        let y = Array.map (fun v -> 1.0 -. (2.0 *. v) +. (0.5 *. v *. v *. v)) x in
-        let f = Regression.polynomial ~degree:3 ~x ~y in
-        Testkit.check_abs ~tol:1e-8 "c0" 1.0 f.coeffs.(0);
-        Testkit.check_abs ~tol:1e-8 "c1" (-2.0) f.coeffs.(1);
-        Testkit.check_abs ~tol:1e-8 "c2" 0.0 f.coeffs.(2);
-        Testkit.check_abs ~tol:1e-9 "c3" 0.5 f.coeffs.(3);
-        Testkit.check_abs ~tol:1e-7 "predict" (1.0 -. 4.0 +. 4.0) (Regression.predict_poly f 2.0));
-    Testkit.case "polynomial with huge abscissas stays conditioned" (fun () ->
-        (* The paper's N^2 fit reaches N ~ 1e5: columns span 10 decades. *)
-        let x = Array.init 40 (fun i -> float_of_int (1 lsl (i mod 18 + 2))) in
-        let y = Array.map (fun v -> (5.36e-6 *. v) +. (1.0e-9 *. v *. v)) x in
-        let f = Regression.polynomial ~degree:2 ~x ~y in
-        Testkit.check_rel ~tol:1e-6 "linear term" 5.36e-6 f.coeffs.(1);
-        Testkit.check_rel ~tol:1e-6 "quadratic term" 1.0e-9 f.coeffs.(2));
     Testkit.case "weighted fit honours the weights" (fun () ->
         (* Two inconsistent measurements of a constant; the fit must land
            close to the precise one. *)
@@ -382,7 +342,7 @@ let allan_tests =
             Testkit.check_rel ~tol:0.2 (Printf.sprintf "flicker m=%d" m) expected est)
           [ 8; 32; 128; 512 ]);
     Testkit.case "random-walk FM grows linearly in tau" (fun () ->
-        let g = Ptrng_prng.Gaussian.create (Testkit.rng ()) in
+        let g = Testkit.rng () in
         let n = 1 lsl 16 in
         let y = Array.make n 0.0 in
         for i = 1 to n - 1 do
@@ -436,9 +396,7 @@ let allan_tests =
         let truth = Allan.avar_white_fm ~h0 ~tau:(float_of_int m *. tau0) in
         let covered = ref 0 in
         for seed = 1 to 60 do
-          let g =
-            Ptrng_prng.Gaussian.create (Testkit.rng ~seed:(Int64.of_int seed) ())
-          in
+          let g = Testkit.rng ~seed:(Int64.of_int seed) () in
           let y = Array.init 1024 (fun _ -> Ptrng_prng.Gaussian.draw g) in
           let pts = Allan.sweep ~tau0 ~ms:[| m |] y in
           let lo, hi = Allan.confidence_interval pts.(0) in
@@ -447,6 +405,34 @@ let allan_tests =
         (* Nominal 68%; accept a broad band because the edf formula is
            a deliberate simplification. *)
         Testkit.check_in_range "coverage" ~lo:30.0 ~hi:60.9 (float_of_int !covered));
+    Testkit.case "rejects a non-positive averaging factor" (fun () ->
+        let y = white_y ~sigma:1.0 64 in
+        List.iter
+          (fun (name, estimator) ->
+            Alcotest.check_raises name
+              (Invalid_argument (Printf.sprintf "Allan.%s: m <= 0" name))
+              (fun () -> ignore (estimator ~tau0:1.0 ~m:0 y)))
+          [
+            ("avar_overlapping", Allan.avar_overlapping);
+            ("avar_nonoverlapping", Allan.avar_nonoverlapping);
+            ("hvar_overlapping", Allan.hvar_overlapping);
+            ("mvar", Allan.mvar);
+          ]);
+    Testkit.case "confidence interval rejects a level outside (0, 1)" (fun () ->
+        let point = { Allan.m = 8; tau = 8.0; avar = 2.0; neff = 100 } in
+        List.iter
+          (fun level ->
+            Alcotest.check_raises (Printf.sprintf "level %g" level)
+              (Invalid_argument "Allan.confidence_interval: level outside (0,1)")
+              (fun () -> ignore (Allan.confidence_interval ~level point)))
+          [ 0.0; 1.0; 1.5 ]);
+    Testkit.case "crossover tau rejects non-positive levels" (fun () ->
+        Alcotest.check_raises "h0 0"
+          (Invalid_argument "Allan.crossover_tau: non-positive level")
+          (fun () -> ignore (Allan.crossover_tau ~h0:0.0 ~hm1:1.0));
+        Alcotest.check_raises "hm1 -1"
+          (Invalid_argument "Allan.crossover_tau: non-positive level")
+          (fun () -> ignore (Allan.crossover_tau ~h0:1.0 ~hm1:(-1.0))));
     Testkit.case "crossover tau matches the paper's k/f0" (fun () ->
         (* h0/(4 ln2 h-1) = b_th f0 / (4 ln2 b_fl) / f0^... = k / f0. *)
         let f0 = 103e6 in
@@ -455,6 +441,27 @@ let allan_tests =
         let h0 = 2.0 *. b_th /. (f0 *. f0) in
         let hm1 = 2.0 *. b_fl /. (f0 *. f0) in
         Testkit.check_rel ~tol:1e-9 "tau_c" (5354.0 /. f0) (Allan.crossover_tau ~h0 ~hm1));
+  ]
+
+let float_cmp_tests =
+  let module Float_cmp = Ptrng_stats.Float_cmp in
+  [
+    Testkit.case "near_zero defaults to a 1e-12 band" (fun () ->
+        Alcotest.(check (float 0.0)) "default_eps" 1e-12 Float_cmp.default_eps;
+        Testkit.check_true "0" (Float_cmp.near_zero 0.0);
+        Testkit.check_true "-0" (Float_cmp.near_zero (-0.0));
+        Testkit.check_true "5e-13" (Float_cmp.near_zero 5e-13);
+        Testkit.check_true "-5e-13" (Float_cmp.near_zero (-5e-13));
+        Testkit.check_false "1e-12 is outside (strict)" (Float_cmp.near_zero 1e-12);
+        Testkit.check_false "1e-6" (Float_cmp.near_zero 1e-6));
+    Testkit.case "near_zero honours a custom eps" (fun () ->
+        Testkit.check_true "1e-4 within 1e-3" (Float_cmp.near_zero ~eps:1e-3 1e-4);
+        Testkit.check_false "1e-2 outside 1e-3" (Float_cmp.near_zero ~eps:1e-3 (-1e-2));
+        Testkit.check_false "eps 0 admits nothing" (Float_cmp.near_zero ~eps:0.0 0.0));
+    Testkit.case "near_zero is false for NaN and infinities" (fun () ->
+        Testkit.check_false "nan" (Float_cmp.near_zero nan);
+        Testkit.check_false "inf" (Float_cmp.near_zero infinity);
+        Testkit.check_false "-inf" (Float_cmp.near_zero neg_infinity));
   ]
 
 let tests_tests =
@@ -506,7 +513,7 @@ let tests_tests =
     Testkit.case "anderson-darling beats KS on mild tail contamination" (fun () ->
         (* 2% of samples from a 5x-wider Gaussian: AD (tail-weighted)
            must produce a smaller p-value than KS. *)
-        let g = Ptrng_prng.Gaussian.create (Testkit.rng ~seed:88L ()) in
+        let g = Testkit.rng ~seed:88L () in
         let rng = Testkit.rng ~seed:89L () in
         let x =
           Array.init 8000 (fun _ ->
@@ -520,7 +527,7 @@ let tests_tests =
         let iid = gaussian_array 20000 in
         let r1 = Tests.ljung_box ~lags:10 iid in
         Testkit.check_true "iid passes" (r1.p_value > 0.001);
-        let g = Ptrng_prng.Gaussian.create (Testkit.rng ()) in
+        let g = Testkit.rng () in
         let ar = Array.make 20000 0.0 in
         for i = 1 to 19999 do
           ar.(i) <- (0.3 *. ar.(i - 1)) +. Ptrng_prng.Gaussian.draw g
@@ -544,7 +551,7 @@ let tests_tests =
         let iid = gaussian_array 50000 in
         let r = Tests.variance_ratio iid ~q:8 in
         Testkit.check_true "iid passes" (r.p_value > 0.001);
-        let g = Ptrng_prng.Gaussian.create (Testkit.rng ()) in
+        let g = Testkit.rng () in
         let ar = Array.make 50000 0.0 in
         for i = 1 to 49999 do
           ar.(i) <- (0.5 *. ar.(i - 1)) +. Ptrng_prng.Gaussian.draw g
@@ -553,37 +560,14 @@ let tests_tests =
         Testkit.check_true "AR(1) super-linear" (r2.statistic > 5.0));
   ]
 
-let bootstrap_tests =
-  [
-    Testkit.case "CI of the mean covers the truth" (fun () ->
-        let x = gaussian_array ~sigma:2.0 2000 in
-        let lo, hi =
-          Bootstrap.ci ~rng:(Testkit.rng ()) ~estimator:Descriptive.mean x
-        in
-        Testkit.check_true "contains 0" (lo < 0.0 && hi > 0.0);
-        (* Half-width ~ 1.96 * 2/sqrt(2000) ~ 0.088. *)
-        Testkit.check_in_range "width" ~lo:0.1 ~hi:0.25 (hi -. lo));
-    Testkit.case "level widens the interval" (fun () ->
-        let x = gaussian_array 500 in
-        let rng = Testkit.rng () in
-        let lo1, hi1 = Bootstrap.ci ~rng ~level:0.5 ~estimator:Descriptive.mean x in
-        let lo2, hi2 = Bootstrap.ci ~rng ~level:0.99 ~estimator:Descriptive.mean x in
-        Testkit.check_true "nested" (hi2 -. lo2 > hi1 -. lo1));
-    Testkit.case "rejects empty data" (fun () ->
-        Alcotest.check_raises "empty" (Invalid_argument "Bootstrap.ci: empty data")
-          (fun () ->
-            ignore (Bootstrap.ci ~rng:(Testkit.rng ()) ~estimator:Descriptive.mean [||])));
-  ]
-
 let () =
   Alcotest.run "ptrng_stats"
     [
       ("descriptive", descriptive_tests);
-      ("histogram", histogram_tests);
       ("special", special_tests);
       ("matrix", matrix_tests);
       ("regression", regression_tests);
       ("allan", allan_tests);
+      ("float_cmp", float_cmp_tests);
       ("tests", tests_tests);
-      ("bootstrap", bootstrap_tests);
     ]

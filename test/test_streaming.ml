@@ -51,9 +51,8 @@ let total = 20000
 let batch_white ~seed ~sigma n =
   Ptrng_exec.Pool.parallel_init_floats ~domains:1 ~rng:(Testkit.rng ~seed ())
     ~fill:(fun child ~offset ~len out ->
-      let g = Ptrng_prng.Gaussian.create child in
       for k = offset to offset + len - 1 do
-        out.(k) <- sigma *. Ptrng_prng.Gaussian.draw g
+        out.(k) <- sigma *. Ptrng_prng.Gaussian.draw child
       done)
     n
 
@@ -100,9 +99,8 @@ let voss_tests =
         (* Replicate the source's seeding: one root draw, ladder on
            child stream 0. *)
         let rng = Testkit.rng ~seed:42L () in
-        let backend = Rng.backend rng in
         let root = Rng.bits64 rng in
-        let v = Voss.create (Rng.child ~backend ~root ~index:0 ()) ~octaves in
+        let v = Voss.create (Rng.child ~root ~index:0 ()) ~octaves in
         let expected = Array.init 5000 (fun _ -> sigma *. Voss.next v) in
         List.iter
           (fun size ->
@@ -226,10 +224,9 @@ let transform_pair log2n =
    keeps the bare root). *)
 let spectral_block_ref ~seed ~psd ~fs ~block b =
   let rng = Testkit.rng ~seed () in
-  let backend = Rng.backend rng in
   let root = Rng.bits64 rng in
   let root = if b = 0 then root else Rng.derive_seed root ((1 lsl 30) + b) in
-  Spectral_synth.generate_with_root ~domains:1 ~backend ~root ~psd ~fs block
+  Spectral_synth.generate_with_root ~domains:1 ~root ~psd ~fs block
 
 (* Bytes allocated directly in the major heap across [f]: every buffer
    too large for the minor heap, none of the short-lived boxes.  (The
@@ -706,7 +703,7 @@ let fftpath_tests =
   (* Fit the paper's a N + b N^2 model to a synthetic white+flicker
      relative-jitter series whose flicker part comes from [flicker]. *)
   let fit_of ~white_seed ~sigma_th flicker =
-    let g = Ptrng_prng.Gaussian.create (Testkit.rng ~seed:white_seed ()) in
+    let g = Testkit.rng ~seed:white_seed () in
     let jitter =
       Array.map (fun fl -> (sigma_th *. Ptrng_prng.Gaussian.draw g) +. fl)
         flicker
@@ -732,7 +729,7 @@ let fftpath_tests =
         in
         let st =
           Kasdin.stream_create
-            (Ptrng_prng.Gaussian.create (Testkit.rng ~seed:303L ()))
+            (Testkit.rng ~seed:303L ())
             ~alpha:1.0 ~sigma_w ~taps
         in
         let direct_flicker = Array.init n (fun _ -> Kasdin.stream_next st) in

@@ -186,76 +186,6 @@ let coherent_tests =
         Testkit.check_rel ~tol:1e-9 "linear in sigma" 2.0 (doubled /. frac16));
   ]
 
-let multi_ring_tests =
-  [
-    Testkit.case "rejects bad configurations" (fun () ->
-        Alcotest.check_raises "rings"
-          (Invalid_argument "Multi_ring.config: rings outside [1,64]")
-          (fun () -> ignore (Multi_ring.config ~f0:100e6 ~rings:0 ~divisor:100 ())));
-    Testkit.case "XOR whitens the structure of a single ring" (fun () ->
-        (* Short accumulation: each ring alone shows strong serial
-           structure (its sampling phase sweeps quasi-periodically);
-           XOR-ing 4 independently detuned rings collapses it. *)
-        let cfg = Multi_ring.config ~f0:Ptrng_osc.Pair.paper_f0 ~rings:4 ~divisor:60 () in
-        let rng = Testkit.rng ~seed:61L () in
-        let single = Multi_ring.generate_single rng cfg ~ring:0 ~bits:6000 in
-        let xored = Multi_ring.generate rng cfg ~bits:6000 in
-        let c_single = Float.abs (Bitstream.serial_correlation single) in
-        let c_xor = Float.abs (Bitstream.serial_correlation xored) in
-        Testkit.check_true "single ring is strongly structured" (c_single > 0.1);
-        Testkit.check_true "xor collapses the structure" (c_xor < c_single /. 2.0));
-    Testkit.case "output length follows the request" (fun () ->
-        let cfg = Multi_ring.config ~f0:Ptrng_osc.Pair.paper_f0 ~rings:2 ~divisor:50 () in
-        let bits = Multi_ring.generate (Testkit.rng ()) cfg ~bits:1000 in
-        Alcotest.(check int) "count" 1000 (Bitstream.length bits));
-  ]
-
-let metastable_tests =
-  [
-    Testkit.case "bit probability follows the offset" (fun () ->
-        let cfg = Metastable.config ~sigma_setup:10e-12 () in
-        Testkit.check_rel ~tol:1e-9 "centered" 0.5
-          (Metastable.bit_probability cfg ~offset:0.0);
-        Testkit.check_true "positive offset favours 1"
-          (Metastable.bit_probability cfg ~offset:10e-12 > 0.8);
-        Testkit.check_true "negative offset favours 0"
-          (Metastable.bit_probability cfg ~offset:(-10e-12) < 0.2));
-    Testkit.case "calibrated generator is unbiased, detuned one is not" (fun () ->
-        let centered = Metastable.config ~sigma_setup:10e-12 () in
-        let off = Metastable.config ~offset0:20e-12 ~sigma_setup:10e-12 () in
-        let rng = Testkit.rng ~seed:62L () in
-        let b1 = Bitstream.bias (Metastable.generate rng centered ~bits:50000) in
-        let b2 = Bitstream.bias (Metastable.generate rng off ~bits:50000) in
-        Testkit.check_abs ~tol:0.01 "centered" 0.0 b1;
-        Testkit.check_true "offset biases the output" (b2 > 0.4));
-    Testkit.case "expected entropy is maximal at zero offset" (fun () ->
-        let centered = Metastable.config ~sigma_setup:10e-12 () in
-        Testkit.check_rel ~tol:1e-9 "full" 1.0 (Metastable.expected_entropy centered);
-        let off = Metastable.config ~offset0:15e-12 ~sigma_setup:10e-12 () in
-        Testkit.check_true "degraded" (Metastable.expected_entropy off < 0.65));
-    Testkit.case "random-walk drift degrades a calibrated generator" (fun () ->
-        (* A one-shot calibration certifies H = 1; the drifting offset
-           walks away and late bits become biased. *)
-        let cfg =
-          Metastable.config ~drift_walk:0.3e-12 ~sigma_setup:10e-12 ()
-        in
-        let bits = Metastable.generate (Testkit.rng ~seed:63L ()) cfg ~bits:60000 in
-        let early = Bitstream.sub bits ~pos:0 ~len:5000 in
-        let late = Bitstream.sub bits ~pos:55000 ~len:5000 in
-        Testkit.check_true "late bias exceeds early bias"
-          (Float.abs (Bitstream.bias late) > Float.abs (Bitstream.bias early) +. 0.05));
-    Testkit.case "flicker wandering correlates the bits" (fun () ->
-        let cfg =
-          Metastable.config ~flicker_hm1:3e-24 ~sigma_setup:10e-12 ()
-        in
-        let bits = Metastable.generate (Testkit.rng ~seed:64L ()) cfg ~bits:40000 in
-        let clean = Metastable.config ~sigma_setup:10e-12 () in
-        let ref_bits = Metastable.generate (Testkit.rng ~seed:64L ()) clean ~bits:40000 in
-        Testkit.check_true "serial correlation grows"
-          (Float.abs (Bitstream.serial_correlation bits)
-          > Float.abs (Bitstream.serial_correlation ref_bits) +. 0.02));
-  ]
-
 let attack_tests =
   [
     Testkit.case "frequency injection scales both coefficients" (fun () ->
@@ -341,7 +271,5 @@ let () =
       ("post_process", post_process_tests);
       ("ero_trng", ero_trng_tests);
       ("coherent", coherent_tests);
-      ("multi_ring", multi_ring_tests);
-      ("metastable", metastable_tests);
       ("attack", attack_tests);
     ]

@@ -42,6 +42,12 @@ let float_digest xs =
   Seq.iter (fun x -> Buffer.add_string b (Printf.sprintf "%h" x)) xs;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* The same for int64 streams, in hex. *)
+let int64_digest xs =
+  let b = Buffer.create 4096 in
+  Seq.iter (fun x -> Buffer.add_string b (Printf.sprintf "%Lx;" x)) xs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 
