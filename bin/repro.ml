@@ -819,6 +819,10 @@ let domains_arg =
         ~doc:
           "Worker domains for parallel sections (default: \
            $(b,PTRNG_DOMAINS), else the machine's recommended count).  \
+           Only $(b,trng), $(b,assess) and $(b,allan) reach one (the two \
+           rings of Pair.simulate, the SP 800-22 battery); $(b,fig7), \
+           $(b,extract), $(b,online), $(b,monitor), $(b,scenario) and the \
+           other subcommands run on one domain whatever the value.  \
            Results are bit-identical for every value; see \
            docs/PARALLELISM.md.")
 

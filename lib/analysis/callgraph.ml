@@ -108,9 +108,30 @@ let canonical_name (r : resolver) (p : Path.t) =
       | _ -> full)
     | None -> full)
 
+(* A name bound more than once at one level (say a wrapper shadowing the
+   function it wraps) keeps a node per binding: the last binding owns
+   the plain name, which is what references from other units resolve
+   to, and the earlier ones are suffixed "#1", "#2", ... in definition
+   order.  Same-unit references reach each binding through its stamp.
+   [bindings] is (stamp, node) in definition order. *)
+let disambiguate bindings =
+  let count = Hashtbl.create 64 and seen = Hashtbl.create 8 in
+  let bump tbl name =
+    let k = 1 + Option.value ~default:0 (Hashtbl.find_opt tbl name) in
+    Hashtbl.replace tbl name k;
+    k
+  in
+  List.iter (fun (_, n) -> ignore (bump count n.name)) bindings;
+  List.map
+    (fun (stamp, n) ->
+      let k = bump seen n.name in
+      if k < Hashtbl.find count n.name then
+        (stamp, { n with name = Printf.sprintf "%s#%d" n.name k })
+      else (stamp, n))
+    bindings
+
 let collect_unit (u : Loader.unit_info) =
-  let nodes = ref [] in
-  let stamps = ref [] in
+  let bindings = ref [] in
   let aliases = ref [] in
   let add_binding ~prefix (vb : Typedtree.value_binding) =
     List.iter
@@ -136,8 +157,7 @@ let collect_unit (u : Loader.unit_info) =
             externals = [];
           }
         in
-        nodes := node :: !nodes;
-        stamps := (Ident.unique_name id, name) :: !stamps)
+        bindings := (Ident.unique_name id, node) :: !bindings)
       (Typedtree.pat_bound_idents vb.vb_pat)
   in
   let rec walk_structure ~prefix (str : Typedtree.structure) =
@@ -195,7 +215,12 @@ let collect_unit (u : Loader.unit_info) =
      walk_structure ~prefix:(Tast_util.normalize_path u.modname) str;
      let_module_aliases.structure let_module_aliases str
    | None -> ());
-  (List.rev !nodes, { stamps = !stamps; aliases = !aliases })
+  let bindings = disambiguate (List.rev !bindings) in
+  ( List.map snd bindings,
+    {
+      stamps = List.map (fun (stamp, n) -> (stamp, n.name)) bindings;
+      aliases = !aliases;
+    } )
 
 (* --------------------------------------------------------------- *)
 (* Reference resolution                                             *)

@@ -2,7 +2,10 @@
 
     Nodes are value bindings (top level and nested [module M = struct])
     named by normalized fully-qualified path, e.g.
-    ["Ptrng_noise.Source.fill"].  Edges are resolved references:
+    ["Ptrng_noise.Source.fill"].  A name bound twice at one level keeps
+    a node per binding: the last owns the plain name (other units'
+    references resolve to it), earlier ones are suffixed ["#1"],
+    ["#2"], ... in definition order.  Edges are resolved references:
     same-unit [Pident] uses resolve through a stamp table, cross-unit
     [Pdot] paths through {!Tast_util.normalize_path} (so dune's
     [Lib__Mod] mangling and the [Lib.Mod] alias meet at one node).

@@ -64,7 +64,7 @@ let resolve ?domains () =
   if Domain.DLS.get inside_pool then 1
   else
     match domains with
-    | Some d when d < 1 -> invalid_arg "Pool.resolve: domains < 1"
+    | Some d when d < 1 -> invalid_arg "Pool: domains < 1"
     | Some d -> min d max_domains
     | None -> available ()
 
@@ -72,10 +72,12 @@ let resolve ?domains () =
 (* Core fork-join runner                                               *)
 (* ------------------------------------------------------------------ *)
 
-exception Worker_failure of exn * Printexc.raw_backtrace
-
+(* Runs [task 0 .. task (n_tasks-1)] on [min domains n_tasks] domains;
+   [task] must only write to disjoint state per index.  A failing task
+   aborts the section, and the first exception is re-raised on the
+   calling domain with its backtrace, so callers match on what the task
+   raised. *)
 let run_tasks ~domains ~n_tasks task =
-  if n_tasks < 0 then invalid_arg "Pool.run_tasks: n_tasks < 0";
   if n_tasks > 0 then begin
     if !Tm.on then begin
       Tm.Counter.incr sections_total;
@@ -117,16 +119,10 @@ let run_tasks ~domains ~n_tasks task =
       Domain.DLS.set inside_pool was_inside;
       Array.iter Domain.join spawned;
       match Atomic.get failure with
-      | Some (e, bt) -> Printexc.raise_with_backtrace (Worker_failure (e, bt)) bt
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
       | None -> ()
     end
   end
-
-(* Re-raise the original exception so callers match on what the task
-   raised, not on a pool wrapper. *)
-let run_tasks ~domains ~n_tasks task =
-  try run_tasks ~domains ~n_tasks task
-  with Worker_failure (e, bt) -> Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)
 (* Derived combinators                                                 *)

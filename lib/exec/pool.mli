@@ -11,24 +11,27 @@
     fixed-size chunks (independent of the domain count) and chunk [i]
     draws from a child generator derived from one root seed and [i].
 
-    Domain-count resolution, in priority order: the [?domains] argument,
-    {!set_default} (the [--domains] CLI flag), the [PTRNG_DOMAINS]
-    environment variable, [Domain.recommended_domain_count ()].  Inside
-    a worker domain every section resolves to 1 — nested parallelism
-    runs sequentially instead of oversubscribing.
+    A section's domain count is decided when it starts, first match
+    wins: [1] if the section runs inside a worker domain of another
+    section (nested parallelism runs sequentially instead of
+    oversubscribing); else the [?domains] argument; else {!available}
+    ({!set_default}, then [PTRNG_DOMAINS], then
+    [Domain.recommended_domain_count ()]).  Counts are clamped to
+    [1, 64] and capped by the section's task count.  A section that
+    runs on one domain does not mark its tasks as workers, so a section
+    nested in it resolves on its own.  Every combinator raises
+    [Invalid_argument] when given [domains < 1] outside a worker.
 
     Exceptions raised by a task abort the section: remaining tasks are
     skipped, domains are joined, and the first captured exception is
     re-raised (with its backtrace) on the calling domain.
 
-    See docs/PARALLELISM.md for the design rationale. *)
+    See docs/PARALLELISM.md for the design rationale and for which
+    call sites run on the pool. *)
 
 val default_chunk : int
 (** Chunk granularity (samples) of {!parallel_init_floats} — fixed, so
     chunk boundaries never depend on the domain count. *)
-
-val max_domains : int
-(** Hard upper bound on the domain count (64). *)
 
 val set_default : int option -> unit
 (** Install (or with [None] remove) a process-wide domain-count
@@ -38,13 +41,8 @@ val set_default : int option -> unit
 val available : unit -> int
 (** The domain count a section gets when [?domains] is omitted:
     {!set_default} override, else [PTRNG_DOMAINS], else
-    [Domain.recommended_domain_count ()], clamped to [1, max_domains].
+    [Domain.recommended_domain_count ()], clamped to [1, 64].
     Malformed [PTRNG_DOMAINS] values are ignored. *)
-
-val resolve : ?domains:int -> unit -> int
-(** The domain count a section with this [?domains] argument will use
-    ([1] inside a worker domain).
-    @raise Invalid_argument if [domains < 1]. *)
 
 val worker_tasks : unit -> int array
 (** Cumulative tasks started per worker slot across all sections so
@@ -55,18 +53,9 @@ val worker_tasks : unit -> int array
     [ptrng_exec_worker<i>_tasks] gauges and Perfetto counter
     tracks. *)
 
-val run_tasks : domains:int -> n_tasks:int -> (int -> unit) -> unit
-(** [run_tasks ~domains ~n_tasks task] runs [task 0 .. task (n_tasks-1)]
-    on [min domains n_tasks] domains.  The building block under the
-    combinators below; [task] must only write to disjoint state per
-    index.  @raise Invalid_argument if [n_tasks < 0]. *)
-
 val parallel_map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Like [Array.map]; [f] runs on worker domains in any order, results
     are in input order. *)
-
-val parallel_mapi : ?domains:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
-(** Like [Array.mapi]; same ordering guarantees as {!parallel_map}. *)
 
 val parallel_filter_map : ?domains:int -> ('a -> 'b option) -> 'a array -> 'b array
 (** Like [Array.map] followed by dropping [None]s; kept in input
@@ -98,4 +87,5 @@ val parallel_map_streams :
 (** [parallel_map_streams ~rng f n] runs [f i child_i] for
     [i = 0 .. n-1] in parallel, each with its own derived generator —
     the Monte-Carlo shape (one task per replicate).  One root draw from
-    [rng], as in {!parallel_init_floats}. *)
+    [rng], as in {!parallel_init_floats}.
+    @raise Invalid_argument if [n < 0]. *)

@@ -47,7 +47,9 @@ let point_of_samples ~f0 ~n ~neff s =
 
 (* Each accepted N is an independent pass over the series, so the grid
    is a natural task list for the domain pool: one task per N, results
-   reassembled in grid order (bit-identical for every domain count). *)
+   reassembled in grid order (bit-identical for every domain count).
+   The counter estimator stays sequential: its one caller outside tests
+   (Online_test.run) passes a one-entry grid. *)
 
 let of_jitter ?domains ?(overlapping = true) ~f0 ~ns jitter =
   if f0 <= 0.0 then invalid_arg "Variance_curve.of_jitter: f0 <= 0";
@@ -69,25 +71,25 @@ let of_jitter ?domains ?(overlapping = true) ~f0 ~ns jitter =
           else None)
         ns)
 
-let of_counters ?domains ~f0 ~ns edges1 edges2 =
+let of_counters ~f0 ~ns edges1 edges2 =
   if f0 <= 0.0 then invalid_arg "Variance_curve.of_counters: f0 <= 0";
   Tm.Hist.time curve_seconds (fun () ->
       let cycles2 = Array.length edges2 - 1 in
-      Ptrng_exec.Pool.parallel_filter_map ?domains
-        (fun n ->
-          if n > 0 && cycles2 / n >= 3 then begin
-            let s = Counter.s_realizations ~edges1 ~edges2 ~f0 ~n in
-            if Array.length s >= 2 then begin
-              (* Counter windows are disjoint, but adjacent differences share
-                 a window: halve the count for the error estimate. *)
-              let neff = max 2 (Array.length s / 2) in
-              Tm.Counter.incr points_total;
-              Some (point_of_samples ~f0 ~n ~neff s)
-            end
-            else None
+      let point n =
+        if n > 0 && cycles2 / n >= 3 then begin
+          let s = Counter.s_realizations ~edges1 ~edges2 ~f0 ~n in
+          if Array.length s >= 2 then begin
+            (* Counter windows are disjoint, but adjacent differences share
+               a window: halve the count for the error estimate. *)
+            let neff = max 2 (Array.length s / 2) in
+            Tm.Counter.incr points_total;
+            Some (point_of_samples ~f0 ~n ~neff s)
           end
-          else None)
-        ns)
+          else None
+        end
+        else None
+      in
+      Array.of_list (List.filter_map point (Array.to_list ns)))
 
 (* ------------------------------------------------------------------ *)
 (* Streaming accumulators                                              *)

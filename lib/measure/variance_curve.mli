@@ -31,12 +31,11 @@ val of_jitter :
     [?domains] value. *)
 
 val of_counters :
-  ?domains:int ->
   f0:float -> ns:int array -> float array -> float array -> point array
 (** [of_counters ~f0 ~ns edges1 edges2] is the counter-based estimator
     (paper eq. 12), including real quantization effects, from the two
-    oscillators' rising-edge times.  Parallelised over the grid like
-    {!of_jitter}. *)
+    oscillators' rising-edge times.  Grid entries are evaluated in
+    order on the calling domain. *)
 
 (** Streaming estimator from a relative-jitter stream: feed chunks of
     any size, read {!Jitter_acc.points} at the end.  Realization values

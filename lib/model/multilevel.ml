@@ -19,14 +19,10 @@ module Span = Ptrng_telemetry.Span
    for the jitter ring), instead of five trace-length arrays. *)
 let stream_chunk = 8192
 
-let characterize ?domains ?(n_periods = 1 lsl 20) ?n_grid ~rng pair =
+let characterize ?(n_periods = 1 lsl 20) ?n_grid ~rng pair =
   if n_periods < 1024 then invalid_arg "Multilevel.characterize: n_periods < 1024";
   Span.with_ ~name:"model.characterize" @@ fun () ->
   Span.set_attr "n_periods" (Ptrng_telemetry.Json.Int n_periods);
-  (* The streamed pipeline is sequential and domain-count independent
-     by construction; the parameter is kept so pipeline call sites read
-     the same at every level. *)
-  let (_ : int option) = domains in
   let f0 = nominal_f0 pair in
   let ns =
     match n_grid with

@@ -177,13 +177,12 @@ let spectral_sync st ~root b =
     let root = spectral_block_root ~root b in
     if FA.length st.cur = 0 then
       st.cur <-
-        Spectral_synth.generate_with_root ~domains:1 ~root
+        Spectral_synth.generate_with_root ~root
           ~psd:st.s_psd ~fs:st.s_fs st.s_block
     else begin
       if FA.length st.amps = 0 then
         st.amps <- Spectral_synth.amplitudes ~psd:st.s_psd ~fs:st.s_fs st.s_block;
-      Spectral_synth.generate_into ~domains:1 ~root
-        ~amplitudes:st.amps st.cur
+      Spectral_synth.generate_into ~root ~amplitudes:st.amps st.cur
     end;
     st.block_index <- b
   end

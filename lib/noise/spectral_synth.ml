@@ -1,4 +1,3 @@
-module Pool = Ptrng_exec.Pool
 module Rng = Ptrng_prng.Rng
 module FA = Float.Array
 
@@ -8,8 +7,8 @@ let samples_total =
     "ptrng_noise_spectral_samples_total"
 
 (* Spectrum bins are filled in fixed-size chunks, each from a child
-   generator derived from one root draw, so the synthesized block is
-   bit-identical for every domain count (see docs/PARALLELISM.md). *)
+   generator derived from one root draw (chunk [ci] draws from child
+   [ci]); the chunk size is part of the output contract. *)
 let bin_chunk = 4096
 
 (* Amplitude of bin k (1 <= k <= n/2) of an n-point block.
@@ -35,10 +34,11 @@ let[@inline] amp_at amps n k =
   | Table t -> FA.unsafe_get t (k - 1)
 
 (* The one synthesis routine: overwrites all of [re] (length n) with the
-   block for [root].  [domains] is a required resolved count (no option
-   at hot call sites): the streaming resynthesis path passes
-   [~domains:1] directly, and [generate] resolves its own [?domains]. *)
-let synthesize ~domains ~root amps re =
+   block for [root], on the calling domain.  Spreading the bin chunks
+   over the domain pool did not pay (under 1.1x on two domains for a
+   2^22 block, docs/PARALLELISM.md), and every executable reaches this
+   on one domain. *)
+let synthesize ~root amps re =
   let n = FA.length re in
   Ptrng_telemetry.Registry.Counter.add samples_total n;
   let im = FA.make n 0.0 in
@@ -47,27 +47,27 @@ let synthesize ~domains ~root amps re =
   let nchunks = (nbins + bin_chunk - 1) / bin_chunk in
   (* The DC bin stays zero; [re] may still hold an earlier block. *)
   FA.set re 0 0.0;
-  if nbins > 0 then
-    Pool.run_tasks ~domains ~n_tasks:nchunks (fun ci ->
-        let child = Rng.child ~root ~index:ci () in
-        let k_lo = 1 + (ci * bin_chunk) in
-        let k_hi = min (half - 1) (k_lo + bin_chunk - 1) in
-        let bins = k_hi - k_lo + 1 in
-        (* One bulk draw of the chunk's (a, b) pairs: same child stream,
-           same draw order as the former per-bin pair of draws, but
-           allocation-free (Gaussian.fill_fa). *)
-        let draws = FA.create (2 * bins) in
-        Ptrng_prng.Gaussian.fill_fa child ~sigma:1.0 draws ~pos:0 ~len:(2 * bins);
-        for k = k_lo to k_hi do
-          let amp = amp_at amps n k in
-          let j = 2 * (k - k_lo) in
-          let a = amp *. FA.unsafe_get draws j in
-          let b = amp *. FA.unsafe_get draws (j + 1) in
-          FA.set re k a;
-          FA.set im k b;
-          FA.set re (n - k) a;
-          FA.set im (n - k) (-.b)
-        done);
+  for ci = 0 to nchunks - 1 do
+    let child = Rng.child ~root ~index:ci () in
+    let k_lo = 1 + (ci * bin_chunk) in
+    let k_hi = min (half - 1) (k_lo + bin_chunk - 1) in
+    let bins = k_hi - k_lo + 1 in
+    (* One bulk draw of the chunk's (a, b) pairs: same child stream,
+       same draw order as the former per-bin pair of draws, but
+       allocation-free (Gaussian.fill_fa). *)
+    let draws = FA.create (2 * bins) in
+    Ptrng_prng.Gaussian.fill_fa child ~sigma:1.0 draws ~pos:0 ~len:(2 * bins);
+    for k = k_lo to k_hi do
+      let amp = amp_at amps n k in
+      let j = 2 * (k - k_lo) in
+      let a = amp *. FA.unsafe_get draws j in
+      let b = amp *. FA.unsafe_get draws (j + 1) in
+      FA.set re k a;
+      FA.set im k b;
+      FA.set re (n - k) a;
+      FA.set im (n - k) (-.b)
+    done
+  done;
   (* The Nyquist bin is real; its draw comes from a dedicated child
      stream beyond the interior chunk indices. *)
   if half >= 1 && half < n then begin
@@ -78,29 +78,28 @@ let synthesize ~domains ~root amps re =
      result returns exactly the spectrum built above. *)
   Ptrng_signal.Fft.inverse_pow2 ~re ~im
 
-let generate_with_root ~domains ~root ~psd ~fs n =
+let generate_with_root ~root ~psd ~fs n =
   if not (Ptrng_signal.Fft.is_pow2 n) then
     invalid_arg "Spectral_synth.generate: n must be a power of two";
   if fs <= 0.0 then invalid_arg "Spectral_synth.generate: fs <= 0";
   let re = FA.make n 0.0 in
-  synthesize ~domains ~root (Psd (psd, fs)) re;
+  synthesize ~root (Psd (psd, fs)) re;
   re
 
-let generate_into ~domains ~root ~amplitudes re =
+let generate_into ~root ~amplitudes re =
   let n = FA.length re in
   if not (Ptrng_signal.Fft.is_pow2 n) then
     invalid_arg "Spectral_synth.generate_into: length not a power of two";
   if FA.length amplitudes <> n / 2 then
     invalid_arg "Spectral_synth.generate_into: amplitudes length <> n/2";
-  synthesize ~domains ~root (Table amplitudes) re
+  synthesize ~root (Table amplitudes) re
 
-let generate ?domains rng ~psd ~fs n =
+let generate rng ~psd ~fs n =
   let root = Rng.bits64 rng in
-  FA.map_to_array Fun.id
-    (generate_with_root ~domains:(Pool.resolve ?domains ()) ~root ~psd ~fs n)
+  FA.map_to_array Fun.id (generate_with_root ~root ~psd ~fs n)
 
 let generate_many ?domains rng ~psd ~fs ~count n =
   if count < 0 then invalid_arg "Spectral_synth.generate_many: count < 0";
-  Pool.parallel_map_streams ?domains ~rng
+  Ptrng_exec.Pool.parallel_map_streams ?domains ~rng
     (fun _ child -> generate child ~psd ~fs n)
     count

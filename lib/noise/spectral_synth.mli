@@ -11,12 +11,10 @@
     This is the fast block generator behind the oscillator simulator;
     {!Kasdin} and {!Voss} cross-validate it.
 
-    Bin filling is chunked over a {!Ptrng_exec.Pool} with one child
-    generator per fixed-size chunk, so for a given seed the output is
-    bit-identical for every [?domains] value (including 1). *)
+    Bins are filled in fixed-size chunks, one child generator per
+    chunk, all on the calling domain. *)
 
 val generate :
-  ?domains:int ->
   Ptrng_prng.Rng.t ->
   psd:(float -> float) ->
   fs:float ->
@@ -25,28 +23,22 @@ val generate :
 (** [generate rng ~psd ~fs n] returns [n] samples ([n] a power of two)
     whose one-sided PSD matches [psd] (evaluated at [k fs / n],
     k = 1 .. n/2; the DC bin is forced to zero, so the output has zero
-    mean over the block).  [rng] advances by exactly one root draw
-    regardless of [?domains].  @raise Invalid_argument if [n] is not a
-    power of two or [fs <= 0]. *)
+    mean over the block).  [rng] advances by exactly one root draw.
+    @raise Invalid_argument if [n] is not a power of two or [fs <= 0]. *)
 
 val generate_with_root :
-  domains:int ->
   root:int64 ->
   psd:(float -> float) ->
   fs:float ->
   int ->
   Float.Array.t
-(** [generate_with_root ~domains ~root ~psd ~fs n] is
+(** [generate_with_root ~root ~psd ~fs n] is
     {!generate} with the root draw supplied explicitly instead of taken
     from a live generator — the resynthesizable form behind {!Source}:
     any block of a stream is a pure function of its recorded root.
-    [domains] is a required, already-resolved worker count (the
-    streaming hot path passes [~domains:1]; an optional argument here
-    would allocate a [Some] per block).  The output is bit-identical
-    for every [domains] value.  The block is returned as the unboxed
-    buffer the inverse FFT ran in; [generate rng] is exactly
-    [generate_with_root ~domains:(Pool.resolve ()) ~root:(bits64 rng)]
-    copied into a [float array].  @raise Invalid_argument as
+    The block is returned as the unboxed buffer the inverse FFT ran
+    in; [generate rng] is exactly [generate_with_root ~root:(bits64
+    rng)] copied into a [float array].  @raise Invalid_argument as
     {!generate}. *)
 
 val amplitudes : psd:(float -> float) -> fs:float -> int -> Float.Array.t
@@ -57,17 +49,16 @@ val amplitudes : psd:(float -> float) -> fs:float -> int -> Float.Array.t
     stream that synthesizes many blocks builds it once. *)
 
 val generate_into :
-  domains:int ->
   root:int64 ->
   amplitudes:Float.Array.t ->
   Float.Array.t ->
   unit
-(** [generate_into ~domains ~root ~amplitudes re] overwrites
-    all of [re] with the block {!generate_with_root} returns for the
-    same root, bit for bit, taking bin amplitudes from [amplitudes]
-    (built by {!amplitudes} for [Float.Array.length re]) instead of
-    calling the PSD, and reusing [re] instead of allocating it.  Both
-    run one synthesis routine; only the amplitude source differs.
+(** [generate_into ~root ~amplitudes re] overwrites all of [re] with
+    the block {!generate_with_root} returns for the same root, bit for
+    bit, taking bin amplitudes from [amplitudes] (built by
+    {!amplitudes} for [Float.Array.length re]) instead of calling the
+    PSD, and reusing [re] instead of allocating it.  Both run one
+    synthesis routine; only the amplitude source differs.
     @raise Invalid_argument if the length of [re] is not a power of two
     or [amplitudes] does not hold half as many floats. *)
 
@@ -81,5 +72,6 @@ val generate_many :
   float array array
 (** [generate_many rng ~psd ~fs ~count n] synthesizes [count]
     independent blocks, one derived generator per block, blocks
-    distributed over the pool — the Monte-Carlo bulk-synthesis path.
+    distributed over a {!Ptrng_exec.Pool} — the Monte-Carlo
+    bulk-synthesis path, bit-identical for every [?domains] value.
     @raise Invalid_argument if [count < 0] (and as {!generate}). *)

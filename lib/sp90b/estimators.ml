@@ -152,19 +152,18 @@ let estimator_seconds =
   Tm.Hist.v ~help:"Wall time of one SP 800-90B estimator." ~lo:1e-6 ~hi:1e3
     "ptrng_sp90b_estimator_seconds"
 
-let run_all ?domains bits =
+let run_all bits =
   Ptrng_telemetry.Span.with_ ~name:"sp90b.run_all" @@ fun () ->
-  (* One pool task per estimator (shared read-only input); estimates
-     come back in battery order, counters are tallied after the join. *)
+  (* Sequential: one pool task per estimator did not pay (under 1.1x on
+     two domains, docs/PARALLELISM.md). *)
   let estimators =
-    [| most_common_value; collision; (fun bits -> markov bits);
-       (fun bits -> t_tuple bits) |]
+    [ most_common_value; collision; (fun bits -> markov bits);
+      (fun bits -> t_tuple bits) ]
   in
   let estimates =
-    Array.to_list
-      (Ptrng_exec.Pool.parallel_map ?domains
-         (fun f -> Tm.Hist.time estimator_seconds (fun () -> f bits))
-         estimators)
+    List.map
+      (fun f -> Tm.Hist.time estimator_seconds (fun () -> f bits))
+      estimators
   in
   List.iter (fun _ -> Tm.Counter.incr estimates_total) estimates;
   let aggregate =

@@ -47,8 +47,6 @@ val t_tuple : ?max_t:int -> bool array -> estimate
     take the most pessimistic. @raise Invalid_argument on fewer than
     1000 bits. *)
 
-val run_all : ?domains:int -> bool array -> estimate list * float
+val run_all : bool array -> estimate list * float
 (** All estimators plus the 90B-style aggregate: the minimum of the
-    individual min-entropies.  Estimators run as independent tasks on
-    a {!Ptrng_exec.Pool}; the result is identical for every
-    [?domains] value. *)
+    individual min-entropies. *)

@@ -64,31 +64,47 @@ let pool_tests =
               expected
               (Pool.parallel_filter_map ~domains:d keep_even xs))
           domain_counts);
-    Testkit.case "parallel_mapi passes each index" (fun () ->
-        let xs = Array.init 37 (fun i -> 100 - i) in
-        check_invariant "mapi" (fun d ->
-            Pool.parallel_mapi ~domains:d (fun i x -> (i, x)) xs);
-        Array.iteri
-          (fun i (j, x) ->
-            Alcotest.(check int) "index" i j;
-            Alcotest.(check int) "value" xs.(i) x)
-          (Pool.parallel_mapi ~domains:4 (fun i x -> (i, x)) xs));
-    Testkit.case "run_tasks runs every index exactly once" (fun () ->
+    Testkit.case "map_streams passes each index in order" (fun () ->
+        check_invariant "indices" (fun d ->
+            Pool.parallel_map_streams ~domains:d ~rng:(Testkit.rng ())
+              (fun i _ -> i)
+              37);
+        Alcotest.(check (array int))
+          "index i in slot i" (Array.init 37 Fun.id)
+          (Pool.parallel_map_streams ~domains:4 ~rng:(Testkit.rng ())
+             (fun i _ -> i)
+             37));
+    Testkit.case "every task runs exactly once" (fun () ->
         List.iter
           (fun d ->
             let hits = Array.init 50 (fun _ -> Atomic.make 0) in
-            Pool.run_tasks ~domains:d ~n_tasks:50 (fun i -> Atomic.incr hits.(i));
+            ignore
+              (Pool.parallel_map ~domains:d (fun i -> Atomic.incr hits.(i))
+                 (Array.init 50 Fun.id));
             Array.iteri
               (fun i h ->
-                Alcotest.(check int) (Printf.sprintf "domains=%d task %d" d i) 1 (Atomic.get h))
+                Alcotest.(check int)
+                  (Printf.sprintf "domains=%d task %d" d i)
+                  1 (Atomic.get h))
               hits)
           domain_counts;
-        Pool.run_tasks ~domains:4 ~n_tasks:0 (fun _ -> Alcotest.fail "no task expected"));
+        ignore
+          (Pool.parallel_map ~domains:4
+             (fun _ -> Alcotest.fail "no task expected")
+             [||]);
+        ignore
+          (Pool.parallel_map_streams ~domains:4 ~rng:(Testkit.rng ())
+             (fun _ _ -> Alcotest.fail "no task expected")
+             0));
     Testkit.case "bad sizes are rejected" (fun () ->
-        Alcotest.check_raises "n_tasks -1" (Invalid_argument "Pool.run_tasks: n_tasks < 0")
-          (fun () -> Pool.run_tasks ~domains:1 ~n_tasks:(-1) ignore);
-        Alcotest.check_raises "domains 0" (Invalid_argument "Pool.resolve: domains < 1")
-          (fun () -> ignore (Pool.resolve ~domains:0 ()));
+        Alcotest.check_raises "map domains 0"
+          (Invalid_argument "Pool: domains < 1") (fun () ->
+            ignore (Pool.parallel_map ~domains:0 Fun.id [| 1 |]));
+        Alcotest.check_raises "streams domains 0"
+          (Invalid_argument "Pool: domains < 1") (fun () ->
+            ignore
+              (Pool.parallel_map_streams ~domains:0 ~rng:(Testkit.rng ())
+                 (fun _ _ -> ()) 1));
         Alcotest.check_raises "chunk 0" (Invalid_argument "Pool: chunk <= 0") (fun () ->
             ignore
               (Pool.parallel_init_floats ~domains:1 ~chunk:0 ~rng:(Testkit.rng ())
@@ -114,18 +130,28 @@ let pool_tests =
     Testkit.case "nested sections resolve to one domain" (fun () ->
         (* Workers only compute; Alcotest is not domain-safe, so every
            check runs on the main domain. *)
+        let self () = (Domain.self () :> int) in
         let inner =
           Pool.parallel_map ~domains:4
             (fun _ ->
-              (* A nested map still works; it just runs sequentially. *)
+              (* A nested map still works; it just runs sequentially,
+                 every nested task on the worker's own domain (the sleep
+                 gives other domains time to take tasks if it did not). *)
               let nested = Pool.parallel_map ~domains:4 (fun x -> x) [| 1; 2 |] in
-              (nested, Pool.resolve ~domains:4 ()))
+              let doms =
+                Pool.parallel_map ~domains:4
+                  (fun () -> Unix.sleepf 0.002; self ())
+                  (Array.make 8 ())
+              in
+              (nested, self (), doms))
             (Array.make 8 ())
         in
         Array.iter
-          (fun (nested, d) ->
+          (fun (nested, worker, doms) ->
             Alcotest.(check (array int)) "nested result" [| 1; 2 |] nested;
-            Alcotest.(check int) "inside worker" 1 d)
+            Array.iter
+              (Alcotest.(check int) "nested task on the worker's domain" worker)
+              doms)
           inner);
     Testkit.case "set_default and PTRNG_DOMAINS resolution order" (fun () ->
         Unix.putenv "PTRNG_DOMAINS" "3";
@@ -236,11 +262,6 @@ let workload_tests =
             (f.a, f.b));
         Testkit.check_true "fit is finite" (Float.is_finite fit.a));
     Testkit.case "spectral synthesis is bit-identical across domains" (fun () ->
-        check_invariant "generate" (fun d ->
-            let rng = Testkit.rng ~seed:51L () in
-            Ptrng_noise.Spectral_synth.generate ~domains:d rng
-              ~psd:(fun f -> 1e-3 /. f)
-              ~fs:1.0 (1 lsl 13));
         check_invariant "generate_many" (fun d ->
             let rng = Testkit.rng ~seed:52L () in
             Ptrng_noise.Spectral_synth.generate_many ~domains:d rng
@@ -281,9 +302,7 @@ let workload_tests =
           Array.init 20000 (fun _ -> Rng.bool rng)
         in
         check_invariant "sp800-22" (fun d ->
-            Ptrng_nist22.Sp80022.run_all ~domains:d bits);
-        check_invariant "sp800-90b" (fun d ->
-            Ptrng_sp90b.Estimators.run_all ~domains:d bits));
+            Ptrng_nist22.Sp80022.run_all ~domains:d bits));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -354,6 +354,37 @@ let callgraph_tests =
                 (caller ^ " has no unresolved external") []
                 n.A.Callgraph.externals)
           [ "Cg_user.direct"; "Cg_user.chained" ]);
+    Testkit.case "a shadowed binding keeps its node and its callees" (fun () ->
+        let g =
+          A.Callgraph.build
+            (compile_all
+               [
+                 ( "cg_shadow",
+                   "let leaf x = x + 1\n\
+                    let step x = leaf x\n\
+                    let step x = try step x with Not_found -> 0\n" );
+                 ("cg_shadow_user", "let run x = Cg_shadow.step x\n");
+               ])
+        in
+        (match A.Callgraph.find g "Cg_shadow.step#1" with
+        | None -> Alcotest.fail "the first step binding has no node"
+        | Some n ->
+          Alcotest.(check (list string)) "first binding calls the leaf"
+            [ "Cg_shadow.leaf" ] n.A.Callgraph.callees);
+        (match A.Callgraph.find g "Cg_shadow.step" with
+        | None -> Alcotest.fail "the last step binding has no node"
+        | Some n ->
+          Alcotest.(check (list string)) "the wrapper calls the first binding"
+            [ "Cg_shadow.step#1" ] n.A.Callgraph.callees);
+        let parents =
+          A.Callgraph.reachable g ~roots:[ "Cg_shadow_user.run" ]
+            ~follow:(fun _ -> true)
+        in
+        Alcotest.(check (list string))
+          "an outside reference reaches the leaf through both bindings"
+          [ "Cg_shadow_user.run"; "Cg_shadow.step"; "Cg_shadow.step#1";
+            "Cg_shadow.leaf" ]
+          (A.Callgraph.witness parents "Cg_shadow.leaf"));
   ]
 
 (* R7 against a fixture-local manifest. *)

@@ -192,7 +192,7 @@ let spectral_synth_tests =
         let psd f = 1.0 +. (0.1 /. f) in
         let y = Spectral_synth.generate (Testkit.rng ~seed:6L ()) ~psd ~fs:2.0 2048 in
         let root = Ptrng_prng.Rng.bits64 (Testkit.rng ~seed:6L ()) in
-        let z = Spectral_synth.generate_with_root ~domains:1 ~root ~psd ~fs:2.0 2048 in
+        let z = Spectral_synth.generate_with_root ~root ~psd ~fs:2.0 2048 in
         Alcotest.(check string) "same block"
           (Testkit.float_digest (Array.to_seq y))
           (Testkit.float_digest (Float.Array.to_seq z)));
@@ -202,8 +202,8 @@ let spectral_synth_tests =
         let amplitudes = Spectral_synth.amplitudes ~psd ~fs:1.0 n in
         Alcotest.(check int) "n/2 bins" (n / 2) (Float.Array.length amplitudes);
         let re = Float.Array.make n nan in
-        Spectral_synth.generate_into ~domains:1 ~root:77L ~amplitudes re;
-        let z = Spectral_synth.generate_with_root ~domains:1 ~root:77L ~psd ~fs:1.0 n in
+        Spectral_synth.generate_into ~root:77L ~amplitudes re;
+        let z = Spectral_synth.generate_with_root ~root:77L ~psd ~fs:1.0 n in
         Alcotest.(check string) "same block"
           (Testkit.float_digest (Float.Array.to_seq z))
           (Testkit.float_digest (Float.Array.to_seq re)));
@@ -212,12 +212,12 @@ let spectral_synth_tests =
         Alcotest.check_raises "length 100"
           (Invalid_argument "Spectral_synth.generate_into: length not a power of two")
           (fun () ->
-            Spectral_synth.generate_into ~domains:1 ~root:1L ~amplitudes
+            Spectral_synth.generate_into ~root:1L ~amplitudes
               (Float.Array.create 100));
         Alcotest.check_raises "length 128"
           (Invalid_argument "Spectral_synth.generate_into: amplitudes length <> n/2")
           (fun () ->
-            Spectral_synth.generate_into ~domains:1 ~root:1L ~amplitudes
+            Spectral_synth.generate_into ~root:1L ~amplitudes
               (Float.Array.create 128)));
     Testkit.case "generate_many gives distinct blocks" (fun () ->
         let blocks =

@@ -226,7 +226,7 @@ let spectral_block_ref ~seed ~psd ~fs ~block b =
   let rng = Testkit.rng ~seed () in
   let root = Rng.bits64 rng in
   let root = if b = 0 then root else Rng.derive_seed root ((1 lsl 30) + b) in
-  Spectral_synth.generate_with_root ~domains:1 ~root ~psd ~fs block
+  Spectral_synth.generate_with_root ~root ~psd ~fs block
 
 (* Bytes allocated directly in the major heap across [f]: every buffer
    too large for the minor heap, none of the short-lived boxes.  (The
@@ -662,7 +662,7 @@ let acc_tests =
         let p1, p2, _ = jitter_fixture total in
         let edges1 = Osc.edges_of_periods p1 in
         let edges2 = Osc.edges_of_periods p2 in
-        let expected = Vc.of_counters ~domains:1 ~f0 ~ns edges1 edges2 in
+        let expected = Vc.of_counters ~f0 ~ns edges1 edges2 in
         List.iter
           (fun size ->
             let acc = Vc.Counter_acc.create ~f0 ~ns in
