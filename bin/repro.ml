@@ -173,23 +173,17 @@ let run_scaling () =
 (* online                                                           *)
 (* ---------------------------------------------------------------- *)
 
-let run_online seed attack strength =
+let run_online seed kind strength =
   print_header "Ablation C — embedded thermal-noise test (paper conclusion)";
   let pair = Ptrng_osc.Pair.paper_pair () in
-  let attacked =
-    match attack with
-    | "none" -> pair
-    | "quench" -> Ptrng_trng.Attack.thermal_quench ~factor:(1.0 -. strength) pair
-    | "inject" -> Ptrng_trng.Attack.frequency_injection ~lock_strength:strength pair
-    | other -> failwith (Printf.sprintf "unknown attack %S" other)
-  in
+  let attacked = Ptrng_trng.Attack.(apply (make kind ~strength)) pair in
   let cfg =
     { Ptrng_measure.Online_test.ns = [| 4096; 16384; 65536; 262144 |];
       windows = 96; min_fraction = 0.4 }
   in
   let cycles = Ptrng_measure.Online_test.required_cycles cfg in
   Printf.printf "attack = %s (strength %.2f); simulating %d oscillator cycles...\n%!"
-    attack strength cycles;
+    (Ptrng_trng.Attack.kind_name kind) strength cycles;
   let n = cycles + 8192 in
   (* Streamed trajectory: the online test wants global edge times, so
      the cumulative sums run across chunk boundaries while the two
@@ -371,27 +365,18 @@ let parse_duration s =
   | Some v when v > 0.0 -> Ok (v *. mult)
   | _ -> Error (Printf.sprintf "bad duration %S (try 5s, 500ms, 2m)" s)
 
-let run_monitor seed duration periods attack strength divisor listen refresh
+let run_monitor seed duration periods kind strength divisor listen refresh
     dashboard =
   let module M = Ptrng_monitor in
   (* The observatory instruments itself through the telemetry layer;
      the gauges and counter tracks must be live for /metrics to serve
      anything, so this sub-command enables telemetry unconditionally. *)
   Ptrng_telemetry.Registry.enable ();
-  let pair = Ptrng_osc.Pair.paper_pair () in
-  let attacked =
-    match attack with
-    | "none" -> pair
-    | "quench" -> Ptrng_trng.Attack.thermal_quench ~factor:(1.0 -. strength) pair
-    | "inject" -> Ptrng_trng.Attack.frequency_injection ~lock_strength:strength pair
-    | other -> failwith (Printf.sprintf "unknown attack %S" other)
-  in
+  let attack = Ptrng_trng.Attack.make kind ~strength in
+  let attacked = Ptrng_trng.Attack.apply attack (Ptrng_osc.Pair.paper_pair ()) in
   let mon = M.Monitor.create (M.Monitor.default_config ~f0:paper_f0) in
-  (* One continuous streamed trajectory: the flicker phase and the
-     sampler's detuning beat carry across chunk boundaries (the old
-     batch loop restarted the simulation each chunk and needed long
-     chunks to balance the beat), and the jitter path reuses two fill
-     buffers instead of allocating five arrays per chunk. *)
+  (* One continuous stream; the flicker phase carries across chunks,
+     the sampler's edge phase does not (Runner.edges_of). *)
   let chunk = 262144 in
   (* The flight recorder rides along on every monitor run: the
      provenance records exactly how to rebuild this stream, so a frozen
@@ -401,9 +386,7 @@ let run_monitor seed duration periods attack strength divisor listen refresh
       ~provenance:
         {
           M.Flight_recorder.kind = "monitor";
-          workload =
-            (if attack = "none" then "none"
-             else Printf.sprintf "%s:%g" attack strength);
+          workload = Ptrng_trng.Attack.to_string attack;
           seed;
           divisor;
           chunk;
@@ -433,33 +416,14 @@ let run_monitor seed duration periods attack strength divisor listen refresh
   in
   if not dashboard then
     Printf.printf "monitor: attack %s (strength %.2f), divisor %d, %s...\n%!"
-      attack strength divisor
+      (Ptrng_trng.Attack.kind_name kind) strength divisor
       (match periods with
       | Some p -> Printf.sprintf "%d periods" p
       | None -> Printf.sprintf "%.1fs" duration);
   let stream = Ptrng_osc.Pair.stream ~flicker_block:chunk rng attacked in
-  let p1 = Float.Array.create chunk in
-  let p2 = Float.Array.create chunk in
-  let jbuf = Float.Array.create chunk in
-  let edges_of_chunk buf =
-    (* Chunk-local edge times (t0 = 0): the sampler only compares edge
-       times within the chunk, so the global offset is irrelevant. *)
-    let e = Array.make (chunk + 1) 0.0 in
-    for k = 0 to chunk - 1 do
-      e.(k + 1) <- e.(k) +. Float.Array.get buf k
-    done;
-    e
-  in
+  let feed = Ptrng_scenario.Runner.step ~chunk ~divisor stream mon in
   while continue () do
-    Ptrng_osc.Pair.fill stream ~p1 ~p2 ~len:chunk;
-    for i = 0 to chunk - 1 do
-      Float.Array.set jbuf i (Float.Array.get p1 i -. Float.Array.get p2 i)
-    done;
-    M.Monitor.feed_jitter_chunk mon jbuf ~len:chunk;
-    let osc1_edges = edges_of_chunk p1 in
-    let osc2_edges = edges_of_chunk p2 in
-    M.Monitor.feed_bits mon
-      (Ptrng_trng.Sampler.sample ~osc1_edges ~osc2_edges ~divisor);
+    feed ~len:chunk;
     processed := !processed + chunk;
     if dashboard && now () >= !next_refresh then begin
       next_refresh := now () +. refresh;
@@ -884,23 +848,27 @@ let scaling_cmd =
   Cmd.v (Cmd.info "scaling" ~doc)
     (instrument "scaling" Term.(const (fun () () -> run_scaling ()) $ const ()))
 
+(* [online] and [monitor] parse the attack through the spec: a bad kind
+   or strength is a usage error (exit 124) naming the kinds or range. *)
+let attack_arg default =
+  let pp fmt k = Format.pp_print_string fmt (Ptrng_trng.Attack.kind_name k) in
+  Arg.(
+    value & opt (conv' (Ptrng_trng.Attack.kind_of_string, pp)) default
+    & info [ "attack" ] ~docv:"KIND" ~doc:"none, quench or inject.")
+
+let strength_arg =
+  Arg.(
+    value
+    & opt (conv' (Ptrng_trng.Attack.strength_of_string, Format.pp_print_float)) 0.95
+    & info [ "strength" ] ~docv:"S" ~doc:"Attack strength in [0,1).")
+
 let online_cmd =
   let doc = "Embedded thermal-noise health test under attack." in
-  let attack_arg =
-    Arg.(
-      value & opt string "quench"
-      & info [ "attack" ] ~docv:"KIND" ~doc:"none, quench or inject.")
-  in
-  let strength_arg =
-    Arg.(
-      value & opt float 0.95
-      & info [ "strength" ] ~docv:"S" ~doc:"Attack strength in [0,1).")
-  in
   Cmd.v (Cmd.info "online" ~doc)
     (instrument "online"
        Term.(
          const (fun seed attack strength () -> run_online seed attack strength)
-         $ seed_arg $ attack_arg $ strength_arg))
+         $ seed_arg $ attack_arg Ptrng_trng.Attack.Quench $ strength_arg))
 
 let trng_cmd =
   let doc = "Generate bits with the simulated eRO-TRNG and test them." in
@@ -974,13 +942,9 @@ let monitor_cmd =
      the final verdict is ok, 1 degraded, 2 failing."
   in
   let duration_arg =
-    let duration_conv =
-      ( (fun s ->
-          match parse_duration s with Ok d -> `Ok d | Error e -> `Error e),
-        fun fmt d -> Format.fprintf fmt "%gs" d )
-    in
+    let pp fmt d = Format.fprintf fmt "%gs" d in
     Arg.(
-      value & opt duration_conv 5.0
+      value & opt (conv' (parse_duration, pp)) 5.0
       & info [ "duration" ] ~docv:"DUR"
           ~doc:"Wall-clock run length: 5s, 500ms, 2m or bare seconds.")
   in
@@ -993,16 +957,6 @@ let monitor_cmd =
             "Stop after $(docv) simulated oscillator periods instead of \
              $(b,--duration) — deterministic for a fixed seed, so this is \
              what the smoke gate uses.")
-  in
-  let attack_arg =
-    Arg.(
-      value & opt string "none"
-      & info [ "attack" ] ~docv:"KIND" ~doc:"none, quench or inject.")
-  in
-  let strength_arg =
-    Arg.(
-      value & opt float 0.95
-      & info [ "strength" ] ~docv:"S" ~doc:"Attack strength in [0,1).")
   in
   let divisor_arg =
     Arg.(
@@ -1038,7 +992,8 @@ let monitor_cmd =
                     no_dash () ->
              run_monitor seed duration periods attack strength divisor listen
                refresh (not no_dash))
-         $ seed_arg $ duration_arg $ periods_arg $ attack_arg $ strength_arg
+         $ seed_arg $ duration_arg $ periods_arg
+         $ attack_arg Ptrng_trng.Attack.No_attack $ strength_arg
          $ divisor_arg $ listen_arg $ refresh_arg $ no_dashboard_arg))
 
 let scenario_cmd =

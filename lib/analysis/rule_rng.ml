@@ -35,14 +35,6 @@ let draw_heads =
     "Rng.int_below"; "Rng.bool";
   ]
 
-(* Kept in sync with Rule_state.pool_entry_points (R3). *)
-let pool_entry_points =
-  [
-    "Pool.run_tasks"; "Pool.parallel_map"; "Pool.parallel_mapi";
-    "Pool.parallel_filter_map"; "Pool.parallel_init_floats";
-    "Pool.parallel_map_streams"; "Pool.run";
-  ]
-
 let sequential_iterators =
   [
     "Array.map"; "Array.mapi"; "Array.iter"; "Array.iteri"; "Array.init";
@@ -184,7 +176,7 @@ let check ~rule (loader : Loader.t) =
                              child"
                             node.name disp)
                      | _ -> ())
-                   | Some head when suffix_mem head pool_entry_points ->
+                   | Some head when suffix_mem head Rule_state.pool_entry_points ->
                      (* (c) parallel section capturing a stream *)
                      List.iter
                        (fun (_, arg) ->

@@ -7,9 +7,8 @@ let allowlist = [ "lib/exec"; "lib/telemetry" ]
 
 let pool_entry_points =
   [
-    "Pool.run_tasks"; "Pool.parallel_map"; "Pool.parallel_mapi";
-    "Pool.parallel_filter_map"; "Pool.parallel_init_floats";
-    "Pool.parallel_map_streams"; "Pool.run";
+    "Pool.parallel_map"; "Pool.parallel_filter_map";
+    "Pool.parallel_init_floats"; "Pool.parallel_map_streams";
   ]
 
 let uses_pool (unit : Loader.unit_info) =

@@ -15,3 +15,6 @@
 val rule : Rule.t
 (** The R3 rule ([Error] when reachable from pool tasks, [Info]
     otherwise). *)
+
+val pool_entry_points : string list
+(** The four task-running [Ptrng_exec.Pool] combinators (R3 and R8). *)

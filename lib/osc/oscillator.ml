@@ -1,16 +1,15 @@
 type config = {
   f0 : float;
   phase : Ptrng_noise.Psd_model.phase;
-  flicker_generator : [ `Spectral | `Kasdin | `Voss | `None ];
   rw_hm2 : float;
 }
 
-let config ?(flicker_generator = `Spectral) ?(rw_hm2 = 0.0) ~f0 ~phase () =
+let config ?(rw_hm2 = 0.0) ~f0 ~phase () =
   if f0 <= 0.0 then invalid_arg "Oscillator.config: f0 <= 0";
   if phase.Ptrng_noise.Psd_model.b_th < 0.0 || phase.b_fl < 0.0 then
     invalid_arg "Oscillator.config: negative phase-noise coefficient";
   if rw_hm2 < 0.0 then invalid_arg "Oscillator.config: negative rw_hm2";
-  { f0; phase; flicker_generator; rw_hm2 }
+  { f0; phase; rw_hm2 }
 
 let thermal_sigma cfg =
   sqrt (cfg.phase.Ptrng_noise.Psd_model.b_th /. (cfg.f0 ** 3.0))
@@ -54,26 +53,11 @@ let source ?(flicker_block = default_flicker_block) rng cfg =
   let flicker =
     if hm1 <= 0.0 then None
     else
-      match cfg.flicker_generator with
-      | `None -> None
-      | `Spectral ->
-        let block = Ptrng_signal.Fft.next_pow2 flicker_block in
-        Some
-          (Source.create
-             (Source.spectral ~block ~psd:(fun f -> hm1 /. f) ~fs:cfg.f0 ())
-             rng)
-      | `Kasdin ->
-        let taps = min (Ptrng_signal.Fft.next_pow2 flicker_block) (1 lsl 15) in
-        Some (Source.create (Source.flicker_fm ~taps ~hm1 ()) rng)
-      | `Voss ->
-        let sigma = sqrt (hm1 *. log 2.0) in
-        let octaves =
-          let rec count o span =
-            if span >= flicker_block || o >= 40 then o else count (o + 1) (span * 2)
-          in
-          count 1 1
-        in
-        Some (Source.create (Source.voss ~octaves ~sigma ()) rng)
+      let block = Ptrng_signal.Fft.next_pow2 flicker_block in
+      Some
+        (Source.create
+           (Source.spectral ~block ~psd:(fun f -> hm1 /. f) ~fs:cfg.f0 ())
+           rng)
   in
   let rw =
     if cfg.rw_hm2 > 0.0 then Some rng else None

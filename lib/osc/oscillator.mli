@@ -15,16 +15,13 @@
     [sigma_N^2 = (2 b_th / f0^3) N + (8 ln2 b_fl / f0^4) N^2]
 
     — the paper's eq. 11 — which the test-suite verifies against the
-    closed form. *)
+    closed form.  [y_k] is spectral 1/f synthesis; Kasdin and Voss are
+    cross-checks at the {!Ptrng_noise.Source} level.  [b_fl = 0] draws
+    no flicker root: the independent-jitter baseline. *)
 
 type config = {
   f0 : float;                              (** Nominal frequency, Hz. *)
   phase : Ptrng_noise.Psd_model.phase;     (** This oscillator's (b_th, b_fl). *)
-  flicker_generator : [ `Spectral | `Kasdin | `Voss | `None ];
-      (** Which 1/f synthesiser drives [y_k]; [`Spectral] is the fast,
-          exactly-calibrated default, the others are cross-checks, and
-          [`None] disables flicker regardless of [b_fl] (the
-          "state-of-the-art model" baseline with independent jitter). *)
   rw_hm2 : float;
       (** Optional random-walk FM (aging/temperature drift) with
           one-sided level [S_y = h_{-2}/f^2]; 0 in the paper's model.
@@ -34,7 +31,6 @@ type config = {
 }
 
 val config :
-  ?flicker_generator:[ `Spectral | `Kasdin | `Voss | `None ] ->
   ?rw_hm2:float ->
   f0:float ->
   phase:Ptrng_noise.Psd_model.phase ->
@@ -66,7 +62,7 @@ val source : ?flicker_block:int -> Ptrng_prng.Rng.t -> config -> source
     bit, however the fills partition it.  [flicker_block] (default 2^16,
     rounded up to a power of two) bounds the flicker correlation the
     stream reproduces — statistics probing longer lags need a larger
-    block.  [`Voss] octaves are likewise sized from [flicker_block].
+    block.
     @raise Invalid_argument if [flicker_block <= 0]. *)
 
 val fill_periods : source -> ?len:int -> Float.Array.t -> unit

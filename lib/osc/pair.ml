@@ -3,14 +3,14 @@ type t = {
   osc2 : Oscillator.config;
 }
 
-let of_relative ?flicker_generator ?(detuning = 1e-4) ~f0 ~relative () =
+let of_relative ?(detuning = 1e-4) ~f0 ~relative () =
   let open Ptrng_noise.Psd_model in
   let half = { b_th = relative.b_th /. 2.0; b_fl = relative.b_fl /. 2.0 } in
   let f1 = f0 *. (1.0 +. (detuning /. 2.0)) in
   let f2 = f0 *. (1.0 -. (detuning /. 2.0)) in
   {
-    osc1 = Oscillator.config ?flicker_generator ~f0:f1 ~phase:half ();
-    osc2 = Oscillator.config ?flicker_generator ~f0:f2 ~phase:half ();
+    osc1 = Oscillator.config ~f0:f1 ~phase:half ();
+    osc2 = Oscillator.config ~f0:f2 ~phase:half ();
   }
 
 let paper_f0 = 103e6

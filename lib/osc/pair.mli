@@ -14,7 +14,6 @@ type t = {
 }
 
 val of_relative :
-  ?flicker_generator:[ `Spectral | `Kasdin | `Voss | `None ] ->
   ?detuning:float ->
   f0:float ->
   relative:Ptrng_noise.Psd_model.phase ->

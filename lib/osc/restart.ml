@@ -3,8 +3,7 @@ let ensemble ?domains rng cfg ~restarts ~n =
   if n <= 0 then invalid_arg "Restart.ensemble: n <= 0";
   (* The reproducible flicker transient: one trajectory, drawn once. *)
   let flicker_cfg =
-    Oscillator.config ~flicker_generator:cfg.Oscillator.flicker_generator
-      ~f0:cfg.Oscillator.f0
+    Oscillator.config ~f0:cfg.Oscillator.f0
       ~phase:{ cfg.Oscillator.phase with Ptrng_noise.Psd_model.b_th = 0.0 }
       ()
   in

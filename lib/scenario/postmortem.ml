@@ -87,21 +87,6 @@ let load path =
 (* Stream reconstruction                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A "monitor"-kind workload is the attack spec of [repro monitor]:
-   "none", "quench:<strength>" or "inject:<strength>". *)
-let attacked_pair workload pair =
-  match String.split_on_char ':' workload with
-  | [ "none" ] -> pair
-  | [ "quench"; s ] -> (
-    match float_of_string_opt s with
-    | Some st -> Ptrng_trng.Attack.thermal_quench ~factor:(1.0 -. st) pair
-    | None -> bad "bad quench strength %S" s)
-  | [ "inject"; s ] -> (
-    match float_of_string_opt s with
-    | Some st -> Ptrng_trng.Attack.frequency_injection ~lock_strength:st pair
-    | None -> bad "bad inject strength %S" s)
-  | _ -> bad "unknown monitor workload %S" workload
-
 (* The stream of the original run: scenario workloads resolve through
    the registry, monitor workloads rebuild the attacked pair. *)
 let stream_of (prov : FR.provenance) =
@@ -115,10 +100,13 @@ let stream_of (prov : FR.provenance) =
       ( Ptrng_osc.Pair.stream ~flicker_block:prov.flicker_block
           ~scenario:e.Registry.scenario rng pair,
         Some e ))
-  | "monitor" ->
-    ( Ptrng_osc.Pair.stream ~flicker_block:prov.flicker_block rng
-        (attacked_pair prov.workload pair),
-      None )
+  | "monitor" -> (
+    match Ptrng_trng.Attack.of_string prov.workload with
+    | Error e -> bad "monitor workload: %s" e
+    | Ok spec ->
+      ( Ptrng_osc.Pair.stream ~flicker_block:prov.flicker_block rng
+          (Ptrng_trng.Attack.apply spec pair),
+        None ))
   | k -> bad "unknown provenance kind %S" k
 
 (* ------------------------------------------------------------------ *)
@@ -181,22 +169,11 @@ let replay bundle =
     let recorder = FR.create ~config:rec_cfg ~provenance:prov () in
     M.Monitor.attach_recorder mon recorder;
     let chunk = prov.chunk in
-    let p1 = FA.create chunk in
-    let p2 = FA.create chunk in
-    let jbuf = FA.create chunk in
+    let feed = Runner.step ~chunk ~divisor:prov.divisor stream mon in
     let pos = ref 0 in
     while FR.incident_count recorder <= id && !pos < cap do
       let len = if partial_tail then min chunk (cap - !pos) else chunk in
-      Ptrng_osc.Pair.fill stream ~p1 ~p2 ~len;
-      for i = 0 to len - 1 do
-        FA.set jbuf i (FA.get p1 i -. FA.get p2 i)
-      done;
-      M.Monitor.feed_jitter_chunk mon jbuf ~len;
-      let osc1_edges = Runner.edges_of p1 len in
-      let osc2_edges = Runner.edges_of p2 len in
-      M.Monitor.feed_bits mon
-        (Ptrng_trng.Sampler.sample ~osc1_edges ~osc2_edges
-           ~divisor:prov.divisor);
+      feed ~len;
       pos := !pos + len
     done;
     match FR.incident recorder id with

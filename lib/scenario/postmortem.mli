@@ -18,7 +18,8 @@
 
     Supported provenance kinds: ["scenario"] (workload is a
     {!Registry} name) and ["monitor"] ([repro monitor] runs; workload
-    is ["none"], ["quench:<strength>"] or ["inject:<strength>"]). *)
+    is a {!Ptrng_trng.Attack.to_string} spec such as ["quench:0.95"]).
+    Both replay through {!Runner.step}, as the original run did. *)
 
 type verdict = {
   id : int;               (** Incident id from the bundle. *)

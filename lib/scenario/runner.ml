@@ -52,14 +52,30 @@ let monitor_config () =
     recovery_windows = 4;
   }
 
+(* Chunk-local edge times (t0 = 0).  Both rings restart at 0 on every
+   chunk, so their relative phase resets at each chunk start (ROADMAP
+   item 1 carries it across chunks). *)
 let edges_of buf len =
-  (* Chunk-local edge times (t0 = 0): the sampler compares edge times
-     within the chunk only, so the global offset is irrelevant. *)
   let e = Array.make (len + 1) 0.0 in
   for k = 0 to len - 1 do
     e.(k + 1) <- e.(k) +. FA.get buf k
   done;
   e
+
+let step ~chunk ~divisor stream mon =
+  let p1 = FA.create chunk in
+  let p2 = FA.create chunk in
+  let jbuf = FA.create chunk in
+  fun ~len ->
+    Ptrng_osc.Pair.fill stream ~p1 ~p2 ~len;
+    for i = 0 to len - 1 do
+      FA.set jbuf i (FA.get p1 i -. FA.get p2 i)
+    done;
+    M.Monitor.feed_jitter_chunk mon jbuf ~len;
+    let osc1_edges = edges_of p1 len in
+    let osc2_edges = edges_of p2 len in
+    M.Monitor.feed_bits mon
+      (Ptrng_trng.Sampler.sample ~osc1_edges ~osc2_edges ~divisor)
 
 (* The live model claim, rebuilt exactly the way a fresh calibration
    would from the monitor's current sliding variance curve.  Early
@@ -122,21 +138,11 @@ let run ?(seed = 7) (e : Registry.entry) : result =
   let rng = Ptrng_prng.Rng.create ~seed:(Int64.of_int seed) () in
   let pair = Ptrng_osc.Pair.paper_pair () in
   let stream = Ptrng_osc.Pair.stream ~flicker_block:chunk ~scenario:scen rng pair in
-  let p1 = FA.create chunk in
-  let p2 = FA.create chunk in
-  let jbuf = FA.create chunk in
+  let feed = step ~chunk ~divisor:e.divisor stream mon in
   let pos = ref 0 in
   while !pos < e.periods do
     let len = min chunk (e.periods - !pos) in
-    Ptrng_osc.Pair.fill stream ~p1 ~p2 ~len;
-    for i = 0 to len - 1 do
-      FA.set jbuf i (FA.get p1 i -. FA.get p2 i)
-    done;
-    M.Monitor.feed_jitter_chunk mon jbuf ~len;
-    let osc1_edges = edges_of p1 len in
-    let osc2_edges = edges_of p2 len in
-    M.Monitor.feed_bits mon
-      (Ptrng_trng.Sampler.sample ~osc1_edges ~osc2_edges ~divisor:e.divisor);
+    feed ~len;
     pos := !pos + len;
     let snap = M.Monitor.snapshot mon in
     M.Detection.observe det

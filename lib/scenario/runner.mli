@@ -60,10 +60,19 @@ val run : ?seed:int -> Registry.entry -> result
 (** Execute and score one entry.  [seed] (default 7) seeds the noise
     PRNG; everything else is deterministic. *)
 
+val step :
+  chunk:int -> divisor:int -> Ptrng_osc.Pair.stream -> Ptrng_monitor.Monitor.t ->
+  (len:int -> unit)
+(** The one chunk step from periods to monitor input, shared by {!run},
+    {!Postmortem.replay} and [repro monitor]: [step ~chunk ~divisor st
+    mon] allocates the chunk buffers once and returns [feed]; each
+    [feed ~len] ([len <= chunk]) fills both rings, feeds the jitter
+    [p1 - p2], samples the chunk's edges and feeds the bits. *)
+
 val edges_of : Float.Array.t -> int -> float array
-(** [edges_of buf len] is the chunk-local edge-time array the sampler
-    consumes ([len + 1] cumulative sums starting at 0) — exposed so
-    {!Postmortem} replays bits with the identical discipline. *)
+(** [edges_of buf len]: the [len + 1] chunk-local edge times, from 0.
+    Both rings restart at 0 every chunk, so their relative phase resets
+    at each chunk start (ROADMAP item 1). *)
 
 val result_json : result -> Ptrng_telemetry.Json.t
 (** One scenario's JSON record (wall-clock-free). *)

@@ -20,3 +20,36 @@ val thermal_quench :
     the stealthiest scenario for total-jitter health tests: flicker
     keeps the measured long-run jitter looking healthy while the
     entropy-bearing thermal noise disappears. *)
+
+(** {1 Attack spec}
+
+    The attacked pair of [repro online], [repro monitor] and incident
+    replay; {!to_string} is a ["monitor"] incident's workload. *)
+
+type kind = No_attack | Quench | Inject
+
+type t = private { kind : kind; strength : float }
+(** [strength] is in [0, 1), and 0 for [No_attack]. *)
+
+val make : kind -> strength:float -> t
+(** @raise Invalid_argument if [strength] is outside [0, 1). *)
+
+val kind_name : kind -> string
+(** ["none"], ["quench"] or ["inject"]. *)
+
+val kind_of_string : string -> (kind, string) result
+(** Inverse of {!kind_name}; the error names the valid kinds. *)
+
+val strength_of_string : string -> (float, string) result
+(** A float in [0, 1); the error names the range. *)
+
+val to_string : t -> string
+(** ["none"] or ["<kind>:<strength>"], the strength in the shortest
+    [%g] form that reads back exactly: ["quench:0.95"]. *)
+
+val of_string : string -> (t, string) result
+(** Inverse of {!to_string}, bit for bit; never raises. *)
+
+val apply : t -> Ptrng_osc.Pair.t -> Ptrng_osc.Pair.t
+(** [Quench] is {!thermal_quench} with [factor = 1 - strength],
+    [Inject] is {!frequency_injection} with [lock_strength = strength]. *)

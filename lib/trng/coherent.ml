@@ -6,7 +6,7 @@ type config = {
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
-let config ?relative ?flicker_generator ~f0 ~km ~kd () =
+let config ?relative ~f0 ~km ~kd () =
   if km <= 0 || kd <= 0 then invalid_arg "Coherent.config: non-positive ratio";
   if gcd km kd <> 1 then invalid_arg "Coherent.config: km and kd must be coprime";
   let relative = Option.value relative ~default:Ptrng_osc.Pair.paper_relative in
@@ -17,8 +17,8 @@ let config ?relative ?flicker_generator ~f0 ~km ~kd () =
     pair =
       {
         Ptrng_osc.Pair.osc1 =
-          Ptrng_osc.Oscillator.config ?flicker_generator ~f0:f1 ~phase:half ();
-        osc2 = Ptrng_osc.Oscillator.config ?flicker_generator ~f0 ~phase:half ();
+          Ptrng_osc.Oscillator.config ~f0:f1 ~phase:half ();
+        osc2 = Ptrng_osc.Oscillator.config ~f0 ~phase:half ();
       };
     km;
     kd;

@@ -22,7 +22,6 @@ type config = {
 
 val config :
   ?relative:Ptrng_noise.Psd_model.phase ->
-  ?flicker_generator:[ `Spectral | `Kasdin | `Voss | `None ] ->
   f0:float ->
   km:int ->
   kd:int ->

@@ -149,7 +149,8 @@ let model_comparison_tests =
           > rows.(n / 2).Ptrng_model.Compare.overestimate));
     Testkit.case "baseline model (flicker off) shows no dependence" (fun () ->
         let pair =
-          Ptrng_osc.Pair.of_relative ~flicker_generator:`None ~f0 ~relative:paper_phase ()
+          Ptrng_osc.Pair.of_relative ~f0
+            ~relative:{ paper_phase with Ptrng_noise.Psd_model.b_fl = 0.0 } ()
         in
         let a =
           Ptrng_model.Multilevel.characterize ~n_periods:(1 lsl 18)

@@ -123,7 +123,7 @@ let r3_tests =
   (* A local module named Pool makes the suffix-based entry-point match
      fire without depending on ptrng_exec from a fixture. *)
   let pool_prelude =
-    "module Pool = struct let run_tasks f = f 0 end\n"
+    "module Pool = struct let parallel_map f a = Array.map f a end\n"
   in
   [
     Testkit.case "R3 flags a module-level ref reachable from pool tasks"
@@ -132,21 +132,21 @@ let r3_tests =
           (check_flags ~rule_id:"R3" ~name:"r3_bad" ~detail_part:"counter"
              (pool_prelude
              ^ "let counter = ref 0\n\
-                let work () = Pool.run_tasks (fun i -> counter := !counter + i)\n"
+                let work () = Pool.parallel_map (fun i -> counter := !counter + i) [| 1 |]\n"
              )));
     Testkit.case "R3 accepts Atomic state and mutex-guarded modules" (fun () ->
         check_clean ~rule_id:"R3" ~name:"r3_atomic"
           (pool_prelude
           ^ "let counter = Atomic.make 0\n\
-             let work () = Pool.run_tasks (fun i -> ignore i; Atomic.incr counter)\n"
+             let work () = Pool.parallel_map (fun i -> ignore i; Atomic.incr counter) [| 1 |]\n"
           );
         check_clean ~rule_id:"R3" ~name:"r3_mutex"
           (pool_prelude
           ^ "let lock = Mutex.create ()\n\
              let counter = ref 0\n\
              let work () =\n\
-             \  Pool.run_tasks (fun i ->\n\
-             \    Mutex.protect lock (fun () -> counter := !counter + i))\n"
+             \  Pool.parallel_map (fun i ->\n\
+             \    Mutex.protect lock (fun () -> counter := !counter + i)) [| 1 |]\n"
           ));
     Testkit.case "R3 reports an unreachable module-level ref as info"
       (fun () ->
@@ -548,9 +548,9 @@ let r8_tests =
           (check_flags ~rule_id:"R8" ~name:"r8_pool"
              ~detail_part:"pool-capture:rng"
              (rng_prelude
-             ^ "module Pool = struct let run_tasks f = f 0 end\n\
+             ^ "module Pool = struct let parallel_map f a = Array.map f a end\n\
                 let bad rng =\n\
-                \  Pool.run_tasks (fun i -> ignore i; ignore (Rng.bits64 rng))\n"
+                \  Pool.parallel_map (fun i -> ignore i; ignore (Rng.bits64 rng)) [| 1 |]\n"
              )));
     Testkit.case "R8 warns on a split inside a sequential iterator" (fun () ->
         let fs =

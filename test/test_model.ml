@@ -244,7 +244,7 @@ let bit_markov_tests =
             b_fl = 0.0 }
         in
         let pair =
-          Ptrng_osc.Pair.of_relative ~flicker_generator:`None ~detuning ~f0 ~relative ()
+          Ptrng_osc.Pair.of_relative ~detuning ~f0 ~relative ()
         in
         let cfg = Ptrng_trng.Ero_trng.config ~divisor pair in
         let stream =

@@ -54,32 +54,29 @@ let oscillator_tests =
         Testkit.check_rel ~tol:1e-12 "total"
           (1.0 +. Array.fold_left ( +. ) 0.0 p)
           e.(10000));
-    Testkit.case "flicker generators all produce the right s_N growth" (fun () ->
-        (* Quadratic flicker contribution with matching coefficient for
-           each of the three 1/f synthesisers. *)
+    Testkit.case "flicker produces the right s_N growth" (fun () ->
+        (* Quadratic flicker contribution with matching coefficient from
+           the oscillator's spectral 1/f synthesis. *)
         let n_test = 2048 in
-        List.iter
-          (fun gen ->
-            let cfg =
-              Oscillator.config ~flicker_generator:gen ~f0
-                ~phase:{ Ptrng_noise.Psd_model.b_th = 0.0; b_fl = paper_phase.Ptrng_noise.Psd_model.b_fl }
-                ()
-            in
-            let p = Oscillator.periods (Testkit.rng ~seed:11L ()) cfg ~n:(1 lsl 17) in
-            let j = Oscillator.jitter_of_periods ~f0 p in
-            let s = Ptrng_measure.S_process.realizations ~n:n_test j in
-            let expected =
-              8.0 *. log 2.0 *. paper_phase.Ptrng_noise.Psd_model.b_fl
-              *. float_of_int (n_test * n_test) /. (f0 ** 4.0)
-            in
-            let tol = match gen with `Voss -> 0.5 | _ -> 0.3 in
-            Testkit.check_rel ~tol
-              (match gen with `Spectral -> "spectral" | `Kasdin -> "kasdin" | `Voss -> "voss" | `None -> "none")
-              expected
-              (Ptrng_stats.Descriptive.variance s))
-          [ `Spectral; `Kasdin; `Voss ]);
-    Testkit.case "flicker_generator `None drops the 1/f part" (fun () ->
-        let cfg = Oscillator.config ~flicker_generator:`None ~f0 ~phase:paper_phase () in
+        let cfg =
+          Oscillator.config ~f0
+            ~phase:{ Ptrng_noise.Psd_model.b_th = 0.0; b_fl = paper_phase.Ptrng_noise.Psd_model.b_fl }
+            ()
+        in
+        let p = Oscillator.periods (Testkit.rng ~seed:11L ()) cfg ~n:(1 lsl 17) in
+        let j = Oscillator.jitter_of_periods ~f0 p in
+        let s = Ptrng_measure.S_process.realizations ~n:n_test j in
+        let expected =
+          8.0 *. log 2.0 *. paper_phase.Ptrng_noise.Psd_model.b_fl
+          *. float_of_int (n_test * n_test) /. (f0 ** 4.0)
+        in
+        Testkit.check_rel ~tol:0.3 "spectral" expected
+          (Ptrng_stats.Descriptive.variance s));
+    Testkit.case "b_fl = 0 drops the 1/f part" (fun () ->
+        let cfg =
+          Oscillator.config ~f0
+            ~phase:{ paper_phase with Ptrng_noise.Psd_model.b_fl = 0.0 } ()
+        in
         let p = Oscillator.periods (Testkit.rng ()) cfg ~n:100000 in
         let j = Oscillator.jitter_of_periods ~f0 p in
         Testkit.check_rel ~tol:0.03 "thermal variance only"
@@ -174,7 +171,8 @@ let pair_tests =
         Testkit.check_rel ~tol:1e-9 "k ratio" 5354.0 k);
     Testkit.case "relative jitter variance is the sum of halves" (fun () ->
         let pair =
-          Pair.of_relative ~flicker_generator:`None ~f0 ~relative:paper_phase ()
+          Pair.of_relative ~f0
+            ~relative:{ paper_phase with Ptrng_noise.Psd_model.b_fl = 0.0 } ()
         in
         let p1, p2 = Pair.simulate (Testkit.rng ()) pair ~n:200000 in
         let rel = Ptrng_measure.S_process.relative_jitter ~periods1:p1 ~periods2:p2 in

@@ -1,7 +1,8 @@
 (* The scenario engine: profile/fault evaluation math, constructor
    validation, scenario-aware streaming physics (identity parity,
    quench and coupling effects on the relative jitter), the registry
-   matrix, and the detection-latency scorer over synthetic snapshots. *)
+   matrix, the detection-latency scorer over synthetic snapshots, and
+   the attack spec that a monitor-kind incident replays from. *)
 
 module FA = Float.Array
 module Sc = Ptrng_device.Scenario
@@ -370,6 +371,107 @@ let detection_tests =
         Testkit.check_abs ~tol:1e-9 "entropy margin" 0.17 s.lie_margin_entropy);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Attack spec and monitor-kind replay                                 *)
+(* ------------------------------------------------------------------ *)
+
+module Attack = Ptrng_trng.Attack
+
+let spec_bits (t : Attack.t) = (t.kind, Int64.bits_of_float t.strength)
+
+let attack_tests =
+  [
+    Testkit.case "printer keeps the historical %g form" (fun () ->
+        Alcotest.(check string) "none" "none" (Attack.to_string (Attack.make No_attack ~strength:0.5));
+        Alcotest.(check string) "quench" "quench:0.95"
+          (Attack.to_string (Attack.make Quench ~strength:0.95));
+        Alcotest.(check string) "inject" "inject:0.9512345"
+          (Attack.to_string (Attack.make Inject ~strength:0.9512345)));
+    Testkit.qcheck "spec round-trips bit for bit"
+      QCheck2.Gen.(
+        pair (oneofl [ Attack.No_attack; Quench; Inject ])
+          (oneof
+             [
+               float_bound_exclusive 1.0;
+               oneofl [ 0.0; 0.95; 0.9512345; Float.pred 1.0; 5e-324; 1e-300 ];
+             ]))
+      (fun (kind, strength) ->
+        let t = Attack.make kind ~strength in
+        match Attack.of_string (Attack.to_string t) with
+        | Ok back -> spec_bits back = spec_bits t
+        | Error _ -> false);
+    Testkit.case "bad specs are errors" (fun () ->
+        List.iter
+          (fun s ->
+            Testkit.check_true s (Result.is_error (Attack.of_string s)))
+          [
+            ""; "quench"; "quench:"; "quench:1"; "quench:-0.1"; "quench:nan";
+            "inject:inf"; "none:0.5"; "bogus:0.5"; "Quench:0.5"; "inject:0.5:1";
+          ]);
+    Testkit.qcheck ~count:1000 "arbitrary strings never raise"
+      QCheck2.Gen.(
+        oneof
+          [
+            string_printable;
+            map3
+              (fun k sep v -> k ^ sep ^ v)
+              (oneofl [ "none"; "quench"; "inject"; ""; "Quench" ])
+              (oneofl [ ":"; ""; "::" ])
+              (oneof [ string_printable; map string_of_float float ]);
+          ])
+      (fun s ->
+        match Attack.of_string s with
+        | Error _ -> true
+        | Ok t -> (
+          match Attack.of_string (Attack.to_string t) with
+          | Ok back -> spec_bits back = spec_bits t
+          | Error _ -> false));
+    Testkit.case "monitor incident at a 7-digit strength verifies" (fun () ->
+        (* [repro monitor]'s stream and chunking under a quench whose
+           strength a 6-digit %g would round to 0.951234. *)
+        let module FR = M.Flight_recorder in
+        let attack = Attack.make Quench ~strength:0.9512345 in
+        let seed = 2014 and divisor = 1000 and chunk = 262144 in
+        let mon =
+          M.Monitor.create (M.Monitor.default_config ~f0:Ptrng_osc.Pair.paper_f0)
+        in
+        let recorder =
+          FR.create
+            ~provenance:
+              {
+                FR.kind = "monitor";
+                workload = Attack.to_string attack;
+                seed;
+                divisor;
+                chunk;
+                flicker_block = chunk;
+              }
+            ()
+        in
+        M.Monitor.attach_recorder mon recorder;
+        let stream =
+          Ptrng_osc.Pair.stream ~flicker_block:chunk
+            (Testkit.rng ~seed:(Int64.of_int seed) ())
+            (Attack.apply attack (Ptrng_osc.Pair.paper_pair ()))
+        in
+        let feed = Ptrng_scenario.Runner.step ~chunk ~divisor stream mon in
+        let fed = ref 0 in
+        while FR.incident_count recorder = 0 && !fed < 64 * chunk do
+          feed ~len:chunk;
+          fed := !fed + chunk
+        done;
+        match FR.incidents recorder with
+        | [] -> Alcotest.fail "no incident froze"
+        | inc :: _ ->
+          let v =
+            Ptrng_scenario.Postmortem.verify (FR.incident_json recorder inc)
+          in
+          Alcotest.(check string) "workload" "quench:0.9512345" v.workload;
+          Alcotest.(check (list string)) "no errors" [] v.errors;
+          Testkit.check_true "segment and bundle match"
+            (v.segment_match && v.bundle_match));
+  ]
+
 let () =
   Alcotest.run "ptrng_scenario"
     [
@@ -378,4 +480,5 @@ let () =
       ("stream", stream_tests);
       ("registry", registry_tests);
       ("detection", detection_tests);
+      ("attack", attack_tests);
     ]

@@ -450,15 +450,14 @@ let fill_chunked ?(sizes = [ 1; 100; 4096; 8192; 997 ]) src total =
   if total > 0 then go sizes;
   out
 
-let paper_cfg generator =
-  Osc.config ~flicker_generator:generator ~f0:Pair.paper_f0
-    ~phase:Pair.paper_relative ()
+let paper_cfg () =
+  Osc.config ~f0:Pair.paper_f0 ~phase:Pair.paper_relative ()
 
 let oscillator_tests =
   [
     Testkit.case "spectral source == periods, bit for bit" (fun () ->
         let n = 20000 in
-        let cfg = paper_cfg `Spectral in
+        let cfg = paper_cfg () in
         let expected = Osc.periods (Testkit.rng ~seed:31L ()) cfg ~n in
         let src =
           Osc.source ~flicker_block:n (Testkit.rng ~seed:31L ()) cfg
@@ -466,14 +465,17 @@ let oscillator_tests =
         check_fa_eq "periods" expected (fill_chunked src n));
     Testkit.case "thermal-only source == periods, bit for bit" (fun () ->
         let n = 20000 in
-        let cfg = paper_cfg `None in
+        let cfg =
+          Osc.config ~f0:Pair.paper_f0
+            ~phase:{ Pair.paper_relative with Psd_model.b_fl = 0.0 } ()
+        in
         let expected = Osc.periods (Testkit.rng ~seed:32L ()) cfg ~n in
         let src = Osc.source (Testkit.rng ~seed:32L ()) cfg in
         check_fa_eq "periods" expected (fill_chunked src n));
     Testkit.case "random-walk source == periods, bit for bit" (fun () ->
         let n = 8192 in
         let cfg =
-          Osc.config ~flicker_generator:`Spectral ~rw_hm2:1e-22 ~f0:Pair.paper_f0
+          Osc.config ~rw_hm2:1e-22 ~f0:Pair.paper_f0
             ~phase:Pair.paper_relative ()
         in
         let expected = Osc.periods (Testkit.rng ~seed:33L ()) cfg ~n in
@@ -483,7 +485,7 @@ let oscillator_tests =
         check_fa_eq "periods" expected (fill_chunked src n));
     Testkit.case "source_skip lands on the same periods" (fun () ->
         let n = 16384 in
-        let cfg = paper_cfg `Spectral in
+        let cfg = paper_cfg () in
         let expected = Osc.periods (Testkit.rng ~seed:34L ()) cfg ~n in
         let src =
           Osc.source ~flicker_block:n (Testkit.rng ~seed:34L ()) cfg
@@ -497,7 +499,7 @@ let oscillator_tests =
         done;
         Alcotest.(check int) "position" 10500 (Osc.source_position src));
     Testkit.case "source_reset replays; rw sources refuse" (fun () ->
-        let cfg = paper_cfg `Spectral in
+        let cfg = paper_cfg () in
         let src = Osc.source (Testkit.rng ~seed:35L ()) cfg in
         let a = fill_chunked src 5000 in
         Osc.source_reset src;
