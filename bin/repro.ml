@@ -449,7 +449,7 @@ let run_monitor seed duration periods kind strength divisor listen refresh
 (* scenario                                                         *)
 (* ---------------------------------------------------------------- *)
 
-let run_scenario names all list_only seed json_out incidents_out
+let run_scenario selected all list_only seed json_out incidents_out
     expect_within expect_recover expect_lie_r expect_clean expect_incidents =
   let module S = Ptrng_scenario in
   let module Sc = Ptrng_device.Scenario in
@@ -463,17 +463,7 @@ let run_scenario names all list_only seed json_out incidents_out
     0
   end
   else begin
-    let entries =
-      if all || names = [] then S.Registry.all ()
-      else
-        List.map
-          (fun n ->
-            match S.Registry.find n with
-            | Some e -> e
-            | None ->
-              failwith (Printf.sprintf "unknown scenario %S (try --list)" n))
-          names
-    in
+    let entries = if all || selected = [] then S.Registry.all () else selected in
     print_header "Adversarial & environmental scenario engine";
     let results =
       List.map
@@ -1003,9 +993,21 @@ let scenario_cmd =
      score detection latency, false alarms, silent-lie margins and fail-safe \
      recovery.  Exits non-zero when an $(b,--expect-*) gate fails."
   in
+  (* An unknown name is a usage error, not an exception out of the run. *)
+  let scenario_conv =
+    let parse n =
+      match Ptrng_scenario.Registry.find n with
+      | Some e -> Ok e
+      | None -> Error (`Msg (Printf.sprintf "unknown scenario %S (try --list)" n))
+    in
+    let pp fmt (e : Ptrng_scenario.Registry.entry) =
+      Format.pp_print_string fmt (Ptrng_device.Scenario.name e.scenario)
+    in
+    Arg.conv (parse, pp)
+  in
   let names_arg =
     Arg.(
-      value & pos_all string []
+      value & pos_all scenario_conv []
       & info [] ~docv:"NAME" ~doc:"Scenario names to run (see $(b,--list)).")
   in
   let all_arg =

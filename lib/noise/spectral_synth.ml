@@ -47,6 +47,8 @@ let synthesize ~root amps re =
   let nchunks = (nbins + bin_chunk - 1) / bin_chunk in
   (* The DC bin stays zero; [re] may still hold an earlier block. *)
   FA.set re 0 0.0;
+  (* One buffer per call for every chunk's (a, b) draws. *)
+  let draws = FA.create (2 * min bin_chunk (max 0 nbins)) in
   for ci = 0 to nchunks - 1 do
     let child = Rng.child ~root ~index:ci () in
     let k_lo = 1 + (ci * bin_chunk) in
@@ -55,7 +57,6 @@ let synthesize ~root amps re =
     (* One bulk draw of the chunk's (a, b) pairs: same child stream,
        same draw order as the former per-bin pair of draws, but
        allocation-free (Gaussian.fill_fa). *)
-    let draws = FA.create (2 * bins) in
     Ptrng_prng.Gaussian.fill_fa child ~sigma:1.0 draws ~pos:0 ~len:(2 * bins);
     for k = k_lo to k_hi do
       let amp = amp_at amps n k in

@@ -27,6 +27,13 @@ let obj_field k j =
 let int_field k j =
   match Json.member k j with Some (Json.Int n) -> n | _ -> bad "field %S is not an int" k
 
+(* A count the replay loops or allocates by: 0 or a negative value
+   would reach Pair.fill or Float.Array.create as an exception. *)
+let positive_field k j =
+  let n = int_field k j in
+  if n < 1 then bad "field %S is %d, expected an integer >= 1" k n;
+  n
+
 let str_field k j =
   match Json.member k j with
   | Some (Json.String s) -> s
@@ -49,9 +56,9 @@ let provenance_of_json j =
     FR.kind = str_field "kind" j;
     workload = str_field "workload" j;
     seed = int_field "seed" j;
-    divisor = int_field "divisor" j;
-    chunk = int_field "chunk" j;
-    flicker_block = int_field "flicker_block" j;
+    divisor = positive_field "divisor" j;
+    chunk = positive_field "chunk" j;
+    flicker_block = positive_field "flicker_block" j;
   }
 
 let recorder_config_of_json j =

@@ -44,7 +44,8 @@ val segment_check : Ptrng_telemetry.Json.t -> (bool, string) result
 val replay : Ptrng_telemetry.Json.t -> (Ptrng_telemetry.Json.t, string) result
 (** Deterministic full re-run; returns the freshly frozen bundle for
     the same incident id.  [Error] when the workload is unknown, the
-    configuration does not parse, or the replay never freezes the
+    configuration does not parse (a [divisor], [chunk] or
+    [flicker_block] below 1 included), or the replay never freezes the
     incident. *)
 
 val verify : Ptrng_telemetry.Json.t -> verdict

@@ -28,24 +28,52 @@ let check_pow2 re im =
   if not (is_pow2 n) then invalid_arg "Fft: length not a power of two";
   n
 
-let bit_reverse_permute re im =
-  let n = FA.length re in
-  let j = ref 0 in
-  for i = 0 to n - 2 do
-    if i < !j then begin
-      let tr = FA.unsafe_get re i in
-      FA.unsafe_set re i (FA.unsafe_get re !j);
-      FA.unsafe_set re !j tr;
-      let ti = FA.unsafe_get im i in
-      FA.unsafe_set im i (FA.unsafe_get im !j);
-      FA.unsafe_set im !j ti
-    end;
-    let bit = ref (n lsr 1) in
-    while !j land !bit <> 0 do
-      j := !j lxor !bit;
+(* log2 of a power of two. *)
+let log2 n =
+  let l = ref 0 in
+  while 1 lsl !l < n do
+    incr l
+  done;
+  !l
+
+(* Reversal of the 3-bit index [b]. *)
+let[@inline] rev3 b = ((b land 1) lsl 2) lor (b land 2) lor (b lsr 2)
+
+(* In-place bit-reversal permutation of [x] (length 2^l), tile by tile.
+   An index splits into 3 high bits a, l - 6 middle bits m and 3 low
+   bits b; its reversal is rev3 b, rev m, rev3 a.  So the 8x8 tile of
+   middle bits m, 8 rows of 8 consecutive floats (one cache line each),
+   maps onto the tile of rev m, transposed, and swapping the two tiles
+   whole touches 16 lines instead of two lines per element.  A
+   self-reversed tile swaps only the pairs with i < j.  Below 2^6
+   points a tile is one element (t = 0): the plain pairwise reversal.
+   [rm] walks rev m by the reversed-carry increment. *)
+let bit_reverse x l =
+  let t = if l >= 6 then 3 else 0 in
+  let w = (1 lsl t) - 1 in
+  let sh = l - t in
+  let nm = 1 lsl (l - (2 * t)) in
+  let rm = ref 0 in
+  for m = 0 to nm - 1 do
+    let r = !rm in
+    if m <= r then
+      for a = 0 to w do
+        let ib = (a lsl sh) lor (m lsl t) and jb = (r lsl t) lor rev3 a in
+        for b = 0 to w do
+          let i = ib lor b and j = (rev3 b lsl sh) lor jb in
+          if m < r || i < j then begin
+            let v = FA.unsafe_get x i in
+            FA.unsafe_set x i (FA.unsafe_get x j);
+            FA.unsafe_set x j v
+          end
+        done
+      done;
+    let bit = ref (nm lsr 1) in
+    while !rm land !bit <> 0 do
+      rm := !rm lxor !bit;
       bit := !bit lsr 1
     done;
-    j := !j lor !bit
+    rm := !rm lor !bit
   done
 
 (* The twiddle factors of a butterfly stage of span [len] walk the unit
@@ -55,10 +83,10 @@ let bit_reverse_permute re im =
    the sign and its index k, not on the block, so stages of span up to
    [table_max] (most of the blocks) read it from a table filled once;
    longer stages restart the recurrence in each of their few blocks.
-   [twiddles] and [stage_direct] run the recurrence with the same
-   operations in the same order, so a tabulated factor is bitwise the
-   one the direct loop computes.  In a table, the factors of span [len]
-   are the (re, im) pairs [len/2 - 1 .. len - 2]. *)
+   [twiddles], [stage_direct] and [stages_direct] run the recurrence
+   with the same operations in the same order, so a tabulated factor is
+   bitwise the one the direct loop computes.  In a table, the factors
+   of span [len] are the (re, im) pairs [len/2 - 1 .. len - 2]. *)
 let table_max = 1 lsl 13
 
 let twiddles sign =
@@ -102,17 +130,77 @@ let[@inline] butterfly re im p q wr wi =
   FA.unsafe_set re p (rp +. vr);
   FA.unsafe_set im p (ip +. vi)
 
-let stage_table re im n len t =
+(* Stages of span [len] and [2 len] on the four points p, p + h,
+   p + len and p + len + h (h = len / 2) held in locals: the span-[len]
+   butterflies (p, p + h) and (p + len, p + len + h) by w1, then the
+   span-[2 len] butterflies (p, p + len) by w2 and (p + h, p + len + h)
+   by w3.  Each is [butterfly]'s arithmetic on the same inputs, so two
+   stages run in one pass with the results of two single passes. *)
+let[@inline] quad re im p h len w1r w1i w2r w2i w3r w3i =
+  let p1 = p + h and p2 = p + len in
+  let p3 = p2 + h in
+  let r0 = FA.unsafe_get re p and i0 = FA.unsafe_get im p in
+  let r1 = FA.unsafe_get re p1 and i1 = FA.unsafe_get im p1 in
+  let r2 = FA.unsafe_get re p2 and i2 = FA.unsafe_get im p2 in
+  let r3 = FA.unsafe_get re p3 and i3 = FA.unsafe_get im p3 in
+  let vr = (r1 *. w1r) -. (i1 *. w1i) and vi = (r1 *. w1i) +. (i1 *. w1r) in
+  let a1r = r0 -. vr and a1i = i0 -. vi in
+  let a0r = r0 +. vr and a0i = i0 +. vi in
+  let vr = (r3 *. w1r) -. (i3 *. w1i) and vi = (r3 *. w1i) +. (i3 *. w1r) in
+  let a3r = r2 -. vr and a3i = i2 -. vi in
+  let a2r = r2 +. vr and a2i = i2 +. vi in
+  let vr = (a2r *. w2r) -. (a2i *. w2i) and vi = (a2r *. w2i) +. (a2i *. w2r) in
+  FA.unsafe_set re p2 (a0r -. vr);
+  FA.unsafe_set im p2 (a0i -. vi);
+  FA.unsafe_set re p (a0r +. vr);
+  FA.unsafe_set im p (a0i +. vi);
+  let vr = (a3r *. w3r) -. (a3i *. w3i) and vi = (a3r *. w3i) +. (a3i *. w3r) in
+  FA.unsafe_set re p3 (a1r -. vr);
+  FA.unsafe_set im p3 (a1i -. vi);
+  FA.unsafe_set re p1 (a1r +. vr);
+  FA.unsafe_set im p1 (a1i +. vi)
+
+(* The stage of span [len] over [lo, hi), twiddles from table [t]. *)
+let stage_table re im lo hi len t =
   let half = len / 2 in
   let base = 2 * (half - 1) in
-  let i = ref 0 in
-  while !i < n do
+  let i = ref lo in
+  while !i < hi do
     for k = 0 to half - 1 do
       let j = base + (2 * k) in
       butterfly re im (!i + k) (!i + k + half) (FA.unsafe_get t j)
         (FA.unsafe_get t (j + 1))
     done;
     i := !i + len
+  done
+
+(* The stages of span [len] and [2 len] over [lo, hi) in one pass. *)
+let stages_table re im lo hi len t =
+  let h = len / 2 in
+  let b1 = 2 * (h - 1) and b2 = 2 * (len - 1) in
+  let i = ref lo in
+  while !i < hi do
+    for k = 0 to h - 1 do
+      let j1 = b1 + (2 * k) and j2 = b2 + (2 * k) in
+      let j3 = j2 + len in
+      quad re im (!i + k) h len (FA.unsafe_get t j1) (FA.unsafe_get t (j1 + 1))
+        (FA.unsafe_get t j2) (FA.unsafe_get t (j2 + 1)) (FA.unsafe_get t j3)
+        (FA.unsafe_get t (j3 + 1))
+    done;
+    i := !i + (2 * len)
+  done
+
+(* Every tabulated stage (span 2 .. hi - lo) of the block [lo, hi): the
+   span-2 stage alone when the count is odd, the rest in pairs. *)
+let table_stages re im lo hi t =
+  let len = ref 2 in
+  if log2 (hi - lo) land 1 = 1 then begin
+    stage_table re im lo hi 2 t;
+    len := 4
+  end;
+  while !len < hi - lo do
+    stages_table re im lo hi !len t;
+    len := !len * 4
   done
 
 let stage_direct re im n len sign =
@@ -136,18 +224,77 @@ let stage_direct re im n len sign =
     i := !i + len
   done
 
+(* The direct stages of span [len] and [2 len] in one pass: three
+   recurrences, for w_len(k), w_2len(k) and w_2len(k + h), each stepped
+   and re-anchored exactly as [stage_direct] steps the factor of that
+   span and index (h is a multiple of 64, so k + h is anchored where k
+   is). *)
+let stages_direct re im n len sign =
+  let h = len / 2 in
+  let ang1 = sign *. 2.0 *. Float.pi /. float_of_int len in
+  let ang2 = sign *. 2.0 *. Float.pi /. float_of_int (2 * len) in
+  let s1r = cos ang1 and s1i = sin ang1 in
+  let s2r = cos ang2 and s2i = sin ang2 in
+  let i = ref 0 in
+  while !i < n do
+    let w1r = ref 1.0 and w1i = ref 0.0 in
+    let w2r = ref 1.0 and w2i = ref 0.0 in
+    let w3r = ref 1.0 and w3i = ref 0.0 in
+    for k = 0 to h - 1 do
+      if k land 63 = 0 then begin
+        let a = ang1 *. float_of_int k in
+        w1r := cos a;
+        w1i := sin a;
+        let a = ang2 *. float_of_int k in
+        w2r := cos a;
+        w2i := sin a;
+        let a = ang2 *. float_of_int (k + h) in
+        w3r := cos a;
+        w3i := sin a
+      end;
+      quad re im (!i + k) h len !w1r !w1i !w2r !w2i !w3r !w3i;
+      let nwr = (!w1r *. s1r) -. (!w1i *. s1i) in
+      w1i := (!w1r *. s1i) +. (!w1i *. s1r);
+      w1r := nwr;
+      let nwr = (!w2r *. s2r) -. (!w2i *. s2i) in
+      w2i := (!w2r *. s2i) +. (!w2i *. s2r);
+      w2r := nwr;
+      let nwr = (!w3r *. s2r) -. (!w3i *. s2i) in
+      w3i := (!w3r *. s2i) +. (!w3i *. s2r);
+      w3r := nwr
+    done;
+    i := !i + (2 * len)
+  done
+
 (* The uncounted core on an already-checked length [n].  Overlap_add
    calls it directly: the telemetry histogram boxes its observation,
-   and the convolver sits on the allocation-free streaming path. *)
+   and the convolver sits on the allocation-free streaming path.  The
+   tabulated stages run one [table_max]-point block at a time (128 KB
+   of re and im, in L2), all of them while the block is in cache: a
+   butterfly reads only points of its own block, so blocking reorders
+   butterflies without changing any of their inputs.  The direct
+   stages follow over the whole array, the first alone when their
+   count is odd, the rest in pairs. *)
 let transform ~sign re im n =
   if n > 1 then begin
-    bit_reverse_permute re im;
+    let l = log2 n in
+    bit_reverse re l;
+    bit_reverse im l;
     let t = if sign < 0.0 then forward_twiddles else inverse_twiddles in
-    let len = ref 2 in
-    while !len <= n do
-      if !len <= table_max then stage_table re im n !len t
-      else stage_direct re im n !len sign;
+    let block = if n < table_max then n else table_max in
+    let lo = ref 0 in
+    while !lo < n do
+      table_stages re im !lo (!lo + block) t;
+      lo := !lo + block
+    done;
+    let len = ref (2 * block) in
+    if (l - log2 block) land 1 = 1 then begin
+      stage_direct re im n !len sign;
       len := !len * 2
+    end;
+    while !len < n do
+      stages_direct re im n !len sign;
+      len := !len * 4
     done
   end
 

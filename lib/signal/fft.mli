@@ -1,12 +1,16 @@
 (** Fast Fourier transforms on split real/imaginary buffers, and an
     overlap-add block convolver for streaming FIR filtering.
 
-    Power-of-two lengths use an in-place iterative radix-2
-    Cooley–Tukey over unboxed [Float.Array.t] buffers owned by the
-    caller, so a transform allocates nothing; the twiddle factors of
-    every stage up to span 2^13 come from read-only tables filled once
-    per process (about 260 KB), bit-identical to the per-stage
-    recurrence longer stages still run.  Arbitrary lengths go through
+    Power-of-two lengths use an in-place radix-2 Cooley–Tukey over
+    unboxed [Float.Array.t] buffers owned by the caller, so a
+    transform allocates nothing.  A tiled bit-reversal permutation
+    swaps 8x8 tiles of cache lines; the butterfly stages then run two
+    per pass, every butterfly doing the float operations of one stage
+    per pass on the same inputs, so the output is bitwise the same.  The
+    stages of span up to 2^13 run one 2^13-point block at a time, with
+    twiddle factors from read-only tables filled once per process
+    (about 260 KB), bit-identical to the anchored recurrence the longer
+    stages run (docs/STREAMING.md).  Arbitrary lengths go through
     Bluestein's chirp-z algorithm.  Forward transforms are
     unscaled (X_k = sum_j x_j e^{-2 pi i jk/n}); inverse transforms
     divide by n, so [inverse (forward x) = x]. *)
@@ -16,6 +20,11 @@ val is_pow2 : int -> bool
 
 val next_pow2 : int -> int
 (** Smallest power of two >= [n] (with [next_pow2 0 = 1]). *)
+
+val bit_reverse : Float.Array.t -> int -> unit
+(** [bit_reverse x l] permutes [x] (length 2^[l]) in place so that
+    element i moves to the [l]-bit reversal of i: the transform's first
+    step, exposed for testing. *)
 
 val forward_pow2 : re:Float.Array.t -> im:Float.Array.t -> unit
 (** In-place forward FFT.  @raise Invalid_argument if the buffers

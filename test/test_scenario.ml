@@ -1,8 +1,9 @@
 (* The scenario engine: profile/fault evaluation math, constructor
    validation, scenario-aware streaming physics (identity parity,
    quench and coupling effects on the relative jitter), the registry
-   matrix, the detection-latency scorer over synthetic snapshots, and
-   the attack spec that a monitor-kind incident replays from. *)
+   matrix, the detection-latency scorer over synthetic snapshots, the
+   attack spec that a monitor-kind incident replays from, and the
+   postmortem replay's checks on an edited bundle. *)
 
 module FA = Float.Array
 module Sc = Ptrng_device.Scenario
@@ -472,6 +473,58 @@ let attack_tests =
             (v.segment_match && v.bundle_match));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Postmortem input checks                                             *)
+(* ------------------------------------------------------------------ *)
+
+module Json = Ptrng_telemetry.Json
+
+(* [bundle] with provenance field [k] set to [v]. *)
+let with_provenance k v bundle =
+  let set fields = List.map (fun (f, x) -> if f = k then (f, v) else (f, x)) fields in
+  match bundle with
+  | Json.Obj fields ->
+    Json.Obj
+      (List.map
+         (fun (f, x) ->
+           match (f, x) with
+           | "provenance", Json.Obj p -> (f, Json.Obj (set p))
+           | _ -> (f, x))
+         fields)
+  | _ -> Alcotest.fail "bundle is not an object"
+
+let postmortem_tests =
+  [
+    Testkit.case "non-positive provenance counts are replay errors" (fun () ->
+        let entry = Option.get (Registry.find "thermal-quench") in
+        let bundle =
+          match (Ptrng_scenario.Runner.run ~seed:2014 entry).incidents with
+          | b :: _ -> b
+          | [] -> Alcotest.fail "thermal-quench froze no incident"
+        in
+        List.iter
+          (fun k ->
+            List.iter
+              (fun v ->
+                let edited = with_provenance k (Json.Int v) bundle in
+                let name = Printf.sprintf "%s = %d" k v in
+                let expect_error what = function
+                  | Ok _ -> Alcotest.failf "%s: %s accepted the bundle" name what
+                  | Error e ->
+                    Testkit.check_true
+                      (Printf.sprintf "%s: %s error %S names the field" name what e)
+                      (Testkit.contains ~needle:k e)
+                in
+                expect_error "replay" (Ptrng_scenario.Postmortem.replay edited);
+                expect_error "segment check"
+                  (Ptrng_scenario.Postmortem.segment_check edited);
+                let v = Ptrng_scenario.Postmortem.verify edited in
+                Testkit.check_false (name ^ ": verify fails")
+                  (v.segment_match || v.bundle_match))
+              [ 0; -5 ])
+          [ "divisor"; "chunk"; "flicker_block" ]);
+  ]
+
 let () =
   Alcotest.run "ptrng_scenario"
     [
@@ -481,4 +534,5 @@ let () =
       ("registry", registry_tests);
       ("detection", detection_tests);
       ("attack", attack_tests);
+      ("postmortem", postmortem_tests);
     ]

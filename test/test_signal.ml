@@ -130,6 +130,191 @@ let fft_tests =
           (fun () -> Fft.forward_pow2 ~re:(FA.make 12 0.0) ~im:(FA.make 12 0.0)));
   ]
 
+(* The power-of-two core as it stood before the tiled permutation and
+   the paired, blocked stages: one pairwise bit-reversal swap at a time,
+   then one radix-2 stage per pass over the whole array, twiddles from
+   the tables up to span 2^13 and from the anchored recurrence above.
+   It is the bit-for-bit reference for the current core. *)
+module Reference = struct
+  let bit_reverse_permute re im =
+    let n = FA.length re in
+    let j = ref 0 in
+    for i = 0 to n - 2 do
+      if i < !j then begin
+        let tr = FA.get re i in
+        FA.set re i (FA.get re !j);
+        FA.set re !j tr;
+        let ti = FA.get im i in
+        FA.set im i (FA.get im !j);
+        FA.set im !j ti
+      end;
+      let bit = ref (n lsr 1) in
+      while !j land !bit <> 0 do
+        j := !j lxor !bit;
+        bit := !bit lsr 1
+      done;
+      j := !j lor !bit
+    done
+
+  let table_max = 1 lsl 13
+
+  let twiddles sign =
+    let t = FA.create (2 * (table_max - 1)) in
+    let len = ref 2 in
+    while !len <= table_max do
+      let half = !len / 2 in
+      let ang = sign *. 2.0 *. Float.pi /. float_of_int !len in
+      let step_r = cos ang and step_i = sin ang in
+      let wr = ref 1.0 and wi = ref 0.0 in
+      for k = 0 to half - 1 do
+        if k land 63 = 0 then begin
+          let a = ang *. float_of_int k in
+          wr := cos a;
+          wi := sin a
+        end;
+        let j = 2 * (half - 1 + k) in
+        FA.set t j !wr;
+        FA.set t (j + 1) !wi;
+        let nwr = (!wr *. step_r) -. (!wi *. step_i) in
+        wi := (!wr *. step_i) +. (!wi *. step_r);
+        wr := nwr
+      done;
+      len := !len * 2
+    done;
+    t
+
+  let forward_twiddles = twiddles (-1.0)
+  let inverse_twiddles = twiddles 1.0
+
+  let butterfly re im p q wr wi =
+    let rq = FA.get re q and iq = FA.get im q in
+    let vr = (rq *. wr) -. (iq *. wi) in
+    let vi = (rq *. wi) +. (iq *. wr) in
+    let rp = FA.get re p and ip = FA.get im p in
+    FA.set re q (rp -. vr);
+    FA.set im q (ip -. vi);
+    FA.set re p (rp +. vr);
+    FA.set im p (ip +. vi)
+
+  let stage_table re im n len t =
+    let half = len / 2 in
+    let base = 2 * (half - 1) in
+    let i = ref 0 in
+    while !i < n do
+      for k = 0 to half - 1 do
+        let j = base + (2 * k) in
+        butterfly re im (!i + k) (!i + k + half) (FA.get t j) (FA.get t (j + 1))
+      done;
+      i := !i + len
+    done
+
+  let stage_direct re im n len sign =
+    let half = len / 2 in
+    let ang = sign *. 2.0 *. Float.pi /. float_of_int len in
+    let step_r = cos ang and step_i = sin ang in
+    let i = ref 0 in
+    while !i < n do
+      let wr = ref 1.0 and wi = ref 0.0 in
+      for k = 0 to half - 1 do
+        if k land 63 = 0 then begin
+          let a = ang *. float_of_int k in
+          wr := cos a;
+          wi := sin a
+        end;
+        butterfly re im (!i + k) (!i + k + half) !wr !wi;
+        let nwr = (!wr *. step_r) -. (!wi *. step_i) in
+        wi := (!wr *. step_i) +. (!wi *. step_r);
+        wr := nwr
+      done;
+      i := !i + len
+    done
+
+  let transform ~sign re im =
+    let n = FA.length re in
+    if n > 1 then begin
+      bit_reverse_permute re im;
+      let t = if sign < 0.0 then forward_twiddles else inverse_twiddles in
+      let len = ref 2 in
+      while !len <= n do
+        if !len <= table_max then stage_table re im n !len t
+        else stage_direct re im n !len sign;
+        len := !len * 2
+      done
+    end
+
+  let forward ~re ~im = transform ~sign:(-1.0) re im
+
+  let inverse ~re ~im =
+    transform ~sign:1.0 re im;
+    let inv = 1.0 /. float_of_int (FA.length re) in
+    FA.iteri (fun i v -> FA.set re i (v *. inv)) re;
+    FA.iteri (fun i v -> FA.set im i (v *. inv)) im
+end
+
+let check_bits name expected got =
+  FA.iteri
+    (fun i e ->
+      let g = FA.get got i in
+      if Int64.bits_of_float e <> Int64.bits_of_float g then
+        Alcotest.failf "%s: element %d is %h, reference %h" name i g e)
+    expected
+
+(* Forward transform of seeded data, then inverse of the result, by the
+   core and by [Reference], bit for bit.  [real] zeroes the imaginary
+   input, as spectral synthesis leaves many signed zeros about. *)
+let check_core ~real log2n =
+  let n = 1 lsl log2n in
+  let rng = Testkit.rng ~seed:(Int64.of_int (1000 + log2n)) () in
+  let re = FA.init n (fun _ -> Ptrng_prng.Rng.float rng -. 0.5) in
+  let im =
+    if real then FA.make n 0.0
+    else FA.init n (fun _ -> Ptrng_prng.Rng.float rng -. 0.5)
+  in
+  let rre = FA.copy re and rim = FA.copy im in
+  let name dir = Printf.sprintf "2^%d %s%s" log2n dir (if real then " (real)" else "") in
+  Fft.forward_pow2 ~re ~im;
+  Reference.forward ~re:rre ~im:rim;
+  check_bits (name "forward re") rre re;
+  check_bits (name "forward im") rim im;
+  Fft.inverse_pow2 ~re ~im;
+  Reference.inverse ~re:rre ~im:rim;
+  check_bits (name "inverse re") rre re;
+  check_bits (name "inverse im") rim im
+
+let naive_reverse log2n i =
+  let r = ref 0 in
+  for b = 0 to log2n - 1 do
+    if i land (1 lsl b) <> 0 then r := !r lor (1 lsl (log2n - 1 - b))
+  done;
+  !r
+
+let core_tests =
+  [
+    (* 2^0 .. 2^5 sit below the tiling threshold; 2^6 .. 2^13 run only
+       tabulated stages (an odd count of them leaves the span-2 stage
+       unpaired); 2^14 .. 2^20 add 1 .. 7 direct stages, an odd count
+       leaving the first unpaired. *)
+    Testkit.case "pow2 core == reference, bit for bit, 2^0 .. 2^20" (fun () ->
+        for log2n = 0 to 20 do
+          check_core ~real:false log2n;
+          check_core ~real:true log2n
+        done);
+    Testkit.case "pow2 core == reference, bit for bit, 2^22" (fun () ->
+        check_core ~real:false 22);
+    Testkit.case "tiled bit reversal == naive index reversal" (fun () ->
+        for log2n = 0 to 18 do
+          let n = 1 lsl log2n in
+          let x = FA.init n float_of_int in
+          Fft.bit_reverse x log2n;
+          for i = 0 to n - 1 do
+            let want = naive_reverse log2n i in
+            if FA.get x i <> float_of_int want then
+              Alcotest.failf "2^%d: element %d holds %g, want %d" log2n i (FA.get x i)
+                want
+          done
+        done);
+  ]
+
 let window_tests =
   [
     Testkit.case "rectangular has unit gain" (fun () ->
@@ -269,6 +454,7 @@ let () =
   Alcotest.run "ptrng_signal"
     [
       ("fft", fft_tests);
+      ("fft core", core_tests);
       ("window", window_tests);
       ("psd", psd_tests);
       ("autocorr", autocorr_tests);

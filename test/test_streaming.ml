@@ -241,6 +241,11 @@ let major_direct_bytes f =
 (* Bytes of a [Float.Array.t] of [n] elements, header included. *)
 let fa_bytes n = float_of_int ((n + 1) * (Sys.word_size / 8))
 
+(* Spectral_synth's bins per child stream, part of its output contract:
+   a synthesis draws each chunk's (a, b) pairs into one buffer of
+   2 * bin_chunk floats. *)
+let bin_chunk = 4096
+
 let spectral_block_tests =
   let psd f = 1.0 /. f and fs = 1e6 and block = 1 lsl 12 in
   let config = Source.spectral ~block ~psd ~fs () in
@@ -285,11 +290,11 @@ let spectral_block_tests =
         let src = Source.create config (Testkit.rng ~seed:62L ()) in
         let out = FA.create n in
         let bytes = major_direct_bytes (fun () -> Source.fill src out) in
-        (* re and im, plus the (a, b) draws of the n/2 - 1 interior bins
-           in per-chunk arrays; an amplitude table (n/2 floats) would
+        (* re and im, plus one buffer for a chunk's (a, b) draws; an
+           amplitude table (n/2 floats) or a draw array per chunk would
            exceed the slack.  The psd closure's boxed argument and
            result per bin stay in the minor heap, as before. *)
-        let bound = (2.0 *. fa_bytes n) +. fa_bytes n +. 16384.0 in
+        let bound = (2.0 *. fa_bytes n) +. fa_bytes (2 * bin_chunk) +. 16384.0 in
         Testkit.check_true
           (Printf.sprintf "%.0f bytes <= %.0f" bytes bound)
           (bytes <= bound));
@@ -308,9 +313,10 @@ let spectral_block_tests =
         let before = !calls in
         let bytes = major_direct_bytes (fun () -> Source.fill src out) in
         Alcotest.(check int) "no PSD evaluation" before !calls;
-        (* im and the draws only: an amplitude table (n/2 floats) or a
-           fresh re buffer (n floats) would exceed the slack. *)
-        let bound = fa_bytes n +. fa_bytes n +. 16384.0 in
+        (* im and one draw buffer only: an amplitude table (n/2
+           floats), a fresh re buffer (n floats) or a draw array per
+           chunk (n floats in all) would exceed the slack. *)
+        let bound = fa_bytes n +. fa_bytes (2 * bin_chunk) +. 16384.0 in
         Testkit.check_true
           (Printf.sprintf "%.0f bytes <= %.0f" bytes bound)
           (bytes <= bound));
@@ -392,11 +398,22 @@ let fft_tests =
         List.iter
           (fun got -> Testkit.check_true "digest pair" (got = one))
           (here @ Domain.join d));
+    (* 2^16 runs three direct stages (one alone, one pair), 2^20 seven
+       (one alone, three pairs). *)
     Testkit.case "pow2 transform allocates nothing" (fun () ->
-        let n = 1 lsl 16 in
-        let re = uniform_fa (Rng.create ~seed:9L ()) n and im = FA.make n 0.0 in
-        Testkit.check_abs ~tol:0.0 "minor words" 0.0
-          (Testkit.minor_words (fun () -> Fft.forward_pow2 ~re ~im)));
+        List.iter
+          (fun log2n ->
+            let n = 1 lsl log2n in
+            let re = uniform_fa (Rng.create ~seed:9L ()) n and im = FA.make n 0.0 in
+            Testkit.check_abs ~tol:0.0
+              (Printf.sprintf "minor words, 2^%d forward" log2n)
+              0.0
+              (Testkit.minor_words (fun () -> Fft.forward_pow2 ~re ~im));
+            Testkit.check_abs ~tol:0.0
+              (Printf.sprintf "minor words, 2^%d inverse" log2n)
+              0.0
+              (Testkit.minor_words (fun () -> Fft.inverse_pow2 ~re ~im)))
+          [ 16; 20 ]);
     Testkit.case "overlap-add == direct convolution" (fun () ->
         let taps = 37 and total = 1000 in
         let rng = Testkit.rng ~seed:15L () in
