@@ -376,7 +376,7 @@ let run_monitor seed duration periods kind strength divisor listen refresh
   let attacked = Ptrng_trng.Attack.apply attack (Ptrng_osc.Pair.paper_pair ()) in
   let mon = M.Monitor.create (M.Monitor.default_config ~f0:paper_f0) in
   (* One continuous stream; the flicker phase carries across chunks,
-     the sampler's edge phase does not (Runner.edges_of). *)
+     the sampler's edge phase does not (Runner.step restarts it). *)
   let chunk = 262144 in
   (* The flight recorder rides along on every monitor run: the
      provenance records exactly how to rebuild this stream, so a frozen

@@ -47,10 +47,14 @@ type manifest = {
   cuts : (string * string) list;  (* node name, why the cut is sound *)
 }
 
-(* The hot-entry manifest.  [Pair.stream] from the ISSUE list is
-   deliberately absent: it is the creation-time constructor of the
-   stream pair (allocates its state records once, by design); the
-   steady-state entry is [Pair.fill].  [Source.create] likewise. *)
+(* The hot-entry manifest.  [Pair.stream] is deliberately absent: it
+   is the creation-time constructor of the stream pair (allocates its
+   state records once, by design); the steady-state entry is
+   [Pair.fill].  [Source.create] likewise.  The sampler's entry is
+   [Sampler.feed_chunk], the per-chunk latch that [Sampler.feed] runs
+   after [Sampler.reserve] has made room: the carried edges outgrow
+   the buffers only while the rings drift apart, growing by half each
+   time. *)
 let default_manifest =
   {
     entries =
@@ -67,6 +71,7 @@ let default_manifest =
         "Ptrng_monitor.Flight_recorder.record_window";
         "Ptrng_monitor.Flight_recorder.record_transition";
         "Ptrng_monitor.Flight_recorder.tick_window";
+        "Ptrng_trng.Sampler.feed_chunk";
       ];
     cuts =
       [

@@ -41,8 +41,11 @@ let[@inline] amp_at amps n k =
 let synthesize ~root amps re =
   let n = FA.length re in
   Ptrng_telemetry.Registry.Counter.add samples_total n;
-  let im = FA.make n 0.0 in
   let half = n / 2 in
+  (* The bin loop writes every im slot but the DC and Nyquist bins. *)
+  let im = FA.create n in
+  FA.set im 0 0.0;
+  FA.set im half 0.0;
   let nbins = half - 1 in
   let nchunks = (nbins + bin_chunk - 1) / bin_chunk in
   (* The DC bin stays zero; [re] may still hold an earlier block. *)
@@ -75,9 +78,10 @@ let synthesize ~root amps re =
     let child = Rng.child ~root ~index:(nchunks + 1) () in
     FA.set re half (amp_at amps n half *. Ptrng_prng.Gaussian.draw child)
   end;
-  (* inverse_pow2 applies the 1/n scaling, so a forward transform of the
-     result returns exactly the spectrum built above. *)
-  Ptrng_signal.Fft.inverse_pow2 ~re ~im
+  (* The inverse applies the 1/n scaling, so a forward transform of the
+     result returns exactly the spectrum built above; the imaginary
+     part (zero up to rounding) is dropped unscaled. *)
+  Ptrng_signal.Fft.inverse_pow2_real ~re ~im
 
 let generate_with_root ~root ~psd ~fs n =
   if not (Ptrng_signal.Fft.is_pow2 n) then

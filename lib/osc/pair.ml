@@ -166,3 +166,16 @@ let fill st ~p1 ~p2 ~len =
     Oscillator.fill_periods_n st.s1 ~len p1;
     Oscillator.fill_periods_n st.s2 ~len p2
   | Some scen -> fill_scenario st scen ~p1 ~p2 ~len
+
+(* The rings of a plain stream draw from their own sources, so they
+   can fill on two domains; the first fill synthesizes each ring's
+   flicker block, which is where a second core pays. *)
+let fill_parallel st ~p1 ~p2 ~len =
+  if len < 0 || len > FA.length p1 || len > FA.length p2 then
+    invalid_arg "Pair.fill_parallel: bad len";
+  if Option.is_some st.scen then
+    invalid_arg "Pair.fill_parallel: scenario streams fill on one domain";
+  ignore
+    (Ptrng_exec.Pool.parallel_map
+       (fun (src, buf) -> Oscillator.fill_periods_n src ~len buf)
+       [| (st.s1, p1); (st.s2, p2) |])

@@ -95,3 +95,14 @@ val fill : stream -> p1:Float.Array.t -> p2:Float.Array.t -> len:int -> unit
     @raise Invalid_argument if [len] exceeds either buffer, or under a
     scenario if a ring has random-walk FM (see
     {!Oscillator.fill_components}). *)
+
+val fill_parallel :
+  stream -> p1:Float.Array.t -> p2:Float.Array.t -> len:int -> unit
+(** [fill_parallel st ~p1 ~p2 ~len] is {!fill} with the two rings
+    filled as the two tasks of one {!Ptrng_exec.Pool} section, on as
+    many domains as {!Ptrng_exec.Pool.available} gives (at most two).
+    It pays on a fill that synthesizes a long flicker block, such as
+    the first fill of a [flicker_block = n] stream; the periods are
+    bit-identical to {!fill} for every domain count.
+    @raise Invalid_argument as {!fill} does, or for a scenario
+    stream. *)

@@ -52,9 +52,10 @@ let monitor_config () =
     recovery_windows = 4;
   }
 
-(* Chunk-local edge times (t0 = 0).  Both rings restart at 0 on every
-   chunk, so their relative phase resets at each chunk start (ROADMAP
-   item 1 carries it across chunks). *)
+(* Chunk-local edge times (t0 = 0): the edges [step]'s sampler
+   restart rebuilds on every chunk.  Both rings restart at 0, so their
+   relative phase resets at each chunk start (ROADMAP item 1 carries it
+   across chunks). *)
 let edges_of buf len =
   let e = Array.make (len + 1) 0.0 in
   for k = 0 to len - 1 do
@@ -66,16 +67,19 @@ let step ~chunk ~divisor stream mon =
   let p1 = FA.create chunk in
   let p2 = FA.create chunk in
   let jbuf = FA.create chunk in
+  let sampler = Ptrng_trng.Sampler.create ~divisor ~chunk in
+  let bits = Array.make ((chunk / divisor) + 1) false in
   fun ~len ->
     Ptrng_osc.Pair.fill stream ~p1 ~p2 ~len;
     for i = 0 to len - 1 do
       FA.set jbuf i (FA.get p1 i -. FA.get p2 i)
     done;
     M.Monitor.feed_jitter_chunk mon jbuf ~len;
-    let osc1_edges = edges_of p1 len in
-    let osc2_edges = edges_of p2 len in
-    M.Monitor.feed_bits mon
-      (Ptrng_trng.Sampler.sample ~osc1_edges ~osc2_edges ~divisor)
+    (* Restarted per chunk: the same bits as [Sampler.sample] on
+       [edges_of p1 len] and [edges_of p2 len]. *)
+    Ptrng_trng.Sampler.restart sampler;
+    let n = Ptrng_trng.Sampler.feed sampler ~p1 ~p2 ~len ~bits ~pos:0 in
+    M.Monitor.feed_bits mon (Array.sub bits 0 n)
 
 (* The live model claim, rebuilt exactly the way a fresh calibration
    would from the monitor's current sliding variance curve.  Early

@@ -67,12 +67,14 @@ val step :
     {!Postmortem.replay} and [repro monitor]: [step ~chunk ~divisor st
     mon] allocates the chunk buffers once and returns [feed]; each
     [feed ~len] ([len <= chunk]) fills both rings, feeds the jitter
-    [p1 - p2], samples the chunk's edges and feeds the bits. *)
+    [p1 - p2], latches the chunk through one {!Ptrng_trng.Sampler.t}
+    restarted at the chunk start, and feeds the bits. *)
 
 val edges_of : Float.Array.t -> int -> float array
-(** [edges_of buf len]: the [len + 1] chunk-local edge times, from 0.
-    Both rings restart at 0 every chunk, so their relative phase resets
-    at each chunk start (ROADMAP item 1). *)
+(** [edges_of buf len]: the [len + 1] chunk-local edge times, from 0:
+    {!Ptrng_trng.Sampler.sample} on these edges gives the bits [step]
+    feeds.  Both rings restart at 0 every chunk, so their relative phase
+    resets at each chunk start (ROADMAP item 1). *)
 
 val result_json : result -> Ptrng_telemetry.Json.t
 (** One scenario's JSON record (wall-clock-free). *)

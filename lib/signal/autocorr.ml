@@ -17,7 +17,7 @@ let autocovariance ?max_lag x =
     Float.Array.set re k ((r *. r) +. (j *. j));
     Float.Array.set im k 0.0
   done;
-  Fft.inverse_pow2 ~re ~im;
+  Fft.inverse_pow2_real ~re ~im;
   Array.init (max_lag + 1) (fun k -> Float.Array.get re k /. float_of_int n)
 
 let acf ?max_lag x =

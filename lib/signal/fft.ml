@@ -298,13 +298,21 @@ let transform ~sign re im n =
     done
   end
 
-let inverse_scaled re im n =
-  transform ~sign:1.0 re im n;
+let scale x n =
   let inv = 1.0 /. float_of_int n in
   for i = 0 to n - 1 do
-    FA.unsafe_set re i (FA.unsafe_get re i *. inv);
-    FA.unsafe_set im i (FA.unsafe_get im i *. inv)
+    FA.unsafe_set x i (FA.unsafe_get x i *. inv)
   done
+
+(* The real part of the scaled inverse, for callers that drop the
+   imaginary part: [im] is left unscaled. *)
+let inverse_real re im n =
+  transform ~sign:1.0 re im n;
+  scale re n
+
+let inverse_scaled re im n =
+  inverse_real re im n;
+  scale im n
 
 let count n =
   if !Tm.on then begin
@@ -321,6 +329,11 @@ let inverse_pow2 ~re ~im =
   let n = check_pow2 re im in
   count n;
   inverse_scaled re im n
+
+let inverse_pow2_real ~re ~im =
+  let n = check_pow2 re im in
+  count n;
+  inverse_real re im n
 
 (* Bluestein chirp-z: an n-point forward DFT as a cyclic convolution of
    length m = next_pow2 (2n-1).  Chirp phases use k^2 mod 2n in exact
@@ -432,7 +445,7 @@ module Overlap_add = struct
       FA.unsafe_set xr k ((ar *. br) -. (ai *. bi));
       FA.unsafe_set xi k ((ar *. bi) +. (ai *. br))
     done;
-    inverse_scaled xr xi m;
+    inverse_real xr xi m;
     (* y_full has len + taps - 1 terms: emit the first len (adding the
        carried tail), keep the remaining taps - 1 as the new tail. *)
     let tl = taps - 1 in

@@ -34,6 +34,12 @@ val inverse_pow2 : re:Float.Array.t -> im:Float.Array.t -> unit
 (** In-place inverse FFT (scaled by 1/n).  Same preconditions as
     {!forward_pow2}. *)
 
+val inverse_pow2_real : re:Float.Array.t -> im:Float.Array.t -> unit
+(** The real part of {!inverse_pow2}, for a result known or wanted to
+    be real: [re] ends bit-identical to {!inverse_pow2}'s, and [im]
+    holds the imaginary part unscaled (scratch).  Same preconditions
+    as {!forward_pow2}. *)
+
 val dft : re:float array -> im:float array -> float array * float array
 (** [dft ~re ~im] is the forward transform for any length, returning
     fresh arrays (Bluestein when the length is not a power of two).

@@ -25,6 +25,10 @@ let config ?(divisor = 1000) ?(xor_factor = 1) pair =
 
 let paper_trng () = config (Ptrng_osc.Pair.paper_pair ())
 
+(* Periods per fill: the period buffers and the sampler's edges stay
+   O(chunk) whatever the bit count. *)
+let chunk = 65536
+
 let generate_raw rng cfg ~bits =
   if bits <= 0 then invalid_arg "Ero_trng.generate_raw: bits <= 0";
   (* Simulate enough periods of both rings: [bits * divisor] Osc2
@@ -38,14 +42,26 @@ let generate_raw rng cfg ~bits =
       (cycles + (cycles / 64) + 16)
       (int_of_float (Float.ceil (float_of_int cycles *. ratio)) + (cycles / 128) + 16)
   in
-  Tm.Counter.add periods_simulated_total (2 * n);
-  let p1, p2 = Ptrng_osc.Pair.simulate rng cfg.pair ~n in
-  let osc1_edges = Ptrng_osc.Oscillator.edges_of_periods p1 in
-  let osc2_edges = Ptrng_osc.Oscillator.edges_of_periods p2 in
-  let raw = Sampler.sample ~osc1_edges ~osc2_edges ~divisor:cfg.divisor in
-  let available = Array.length raw in
-  if available < bits then Bitstream.of_bools raw
-  else Bitstream.of_bools (Array.sub raw 0 bits)
+  (* One flicker block spans all [n] periods, as in [Pair.simulate ~n],
+     so the fills replay its traces bit for bit; they stop as soon as
+     [bits] bits are latched. *)
+  let stream = Ptrng_osc.Pair.stream ~flicker_block:n rng cfg.pair in
+  let len_max = min chunk n in
+  let p1 = Float.Array.create len_max and p2 = Float.Array.create len_max in
+  let sampler = Sampler.create ~divisor:cfg.divisor ~chunk:len_max in
+  let out = Array.make bits false in
+  let latched = ref 0 and filled = ref 0 in
+  while !latched < bits && !filled < n do
+    let len = min len_max (n - !filled) in
+    (* Only the first fill synthesizes the flicker blocks: the one
+       place the two rings pay for a domain each. *)
+    if !filled = 0 then Ptrng_osc.Pair.fill_parallel stream ~p1 ~p2 ~len
+    else Ptrng_osc.Pair.fill stream ~p1 ~p2 ~len;
+    filled := !filled + len;
+    Tm.Counter.add periods_simulated_total (2 * len);
+    latched := Sampler.feed sampler ~p1 ~p2 ~len ~bits:out ~pos:!latched
+  done;
+  Bitstream.of_bools (if !latched = bits then out else Array.sub out 0 !latched)
 
 let generate rng cfg ~bits =
   Tm.Hist.time generate_seconds (fun () ->

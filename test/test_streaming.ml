@@ -571,6 +571,30 @@ let oscillator_tests =
         FA.blit c2 0 b2 head (n - head);
         check_fa_eq "osc1" (Array.init n (FA.get r1)) b1;
         check_fa_eq "osc2" (Array.init n (FA.get r2)) b2);
+    (* Postmortem.segment_check replays an incident this way. *)
+    Testkit.case "Pair.skip then fill == the tail of one long fill" (fun () ->
+        let block = 4096 and k = 5000 and m = 3000 in
+        let pair = Pair.paper_pair () in
+        let tone =
+          Ptrng_device.Scenario.make ~name:"skip-check" ~description:""
+            ~b_th:(Ramp { start = 0; stop = k + m; from_ = 1.0; to_ = 0.5 })
+            ~faults:
+              [ Tone_injection { onset = 4000; duration = 2000; freq = 0.01; amplitude = 1e-3 } ]
+            ()
+        in
+        List.iter
+          (fun (name, scenario) ->
+            let whole = Pair.stream ~flicker_block:block ?scenario (Testkit.rng ~seed:38L ()) pair in
+            let w1 = FA.create (k + m) and w2 = FA.create (k + m) in
+            Pair.fill whole ~p1:w1 ~p2:w2 ~len:(k + m);
+            let st = Pair.stream ~flicker_block:block ?scenario (Testkit.rng ~seed:38L ()) pair in
+            Pair.skip st k;
+            let b1 = FA.create m and b2 = FA.create m in
+            Pair.fill st ~p1:b1 ~p2:b2 ~len:m;
+            Alcotest.(check int) (name ^ ": position") (k + m) (Pair.position st);
+            check_fa_eq (name ^ ": osc1") (Array.init m (fun i -> FA.get w1 (k + i))) b1;
+            check_fa_eq (name ^ ": osc2") (Array.init m (fun i -> FA.get w2 (k + i))) b2)
+          [ ("plain", None); ("scenario", Some tone) ]);
   ]
 
 (* Digests of seeded whole-trace outputs: any change to the synthesis
@@ -596,6 +620,47 @@ let golden_tests =
         let bits = Ptrng_trng.Ero_trng.generate (Rng.create ~seed:101L ()) trng ~bits:4096 in
         Alcotest.(check string) "4096 bits" "9c8f1c58ebe2903245e523152c6a32d9"
           (Digest.to_hex (Digest.bytes (Ptrng_trng.Bitstream.to_bytes bits))));
+  ]
+
+(* The streamed generator on one domain (so every allocation lands on
+   the measuring domain): beside the two flicker blocks it allocates
+   O(chunk), where a whole-trace path holds two n-float period arrays
+   and two (n+1)-float edge arrays, 4 x 33 MB at 4096 bits; and the
+   period counter counts the periods it filled, which stop short of
+   the n it sized for once every bit is latched. *)
+let ero_trng_tests =
+  let trng = Ptrng_trng.Ero_trng.paper_trng () in
+  let bits = 4096 in
+  let cycles = (bits + 2) * trng.divisor in
+  let n = cycles + (cycles / 64) + 16 in
+  [
+    Testkit.case "Ero_trng.generate: no n-length trace, counts filled periods"
+      (fun () ->
+        Ptrng_exec.Pool.set_default (Some 1);
+        Fun.protect
+          ~finally:(fun () -> Ptrng_exec.Pool.set_default None)
+          (fun () ->
+            let bytes = ref 0.0 in
+            let counted =
+              counter_delta "ptrng_trng_periods_simulated_total" (fun () ->
+                  bytes :=
+                    major_direct_bytes (fun () ->
+                        ignore (Ptrng_trng.Ero_trng.generate (Rng.create ~seed:5L ()) trng ~bits)))
+            in
+            (* Per ring: the flicker block's re and im, and one draw
+               buffer; 4 MB covers the period chunks, the sampler and
+               the bits. *)
+            let block = Fft.next_pow2 n in
+            let bound =
+              (2.0 *. (2.0 *. fa_bytes block +. fa_bytes (2 * bin_chunk))) +. 4e6
+            in
+            Testkit.check_true
+              (Printf.sprintf "%.0f bytes <= %.0f" !bytes bound)
+              (!bytes <= bound);
+            Testkit.check_true
+              (Printf.sprintf "%d periods counted: every instant covered, fewer than 2n = %d"
+                 counted (2 * n))
+              (counted >= 2 * bits * trng.divisor && counted < 2 * n)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -800,5 +865,6 @@ let () =
       ("fft-path", fftpath_tests);
       ("oscillator", oscillator_tests);
       ("golden", golden_tests);
+      ("ero-trng", ero_trng_tests);
       ("accumulators", acc_tests);
     ]

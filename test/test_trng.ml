@@ -69,6 +69,66 @@ let sampler_tests =
         Alcotest.check_raises "divisor" (Invalid_argument "Sampler.sample: divisor <= 0")
           (fun () ->
             ignore (Sampler.sample ~osc1_edges:[| 0.0; 1.0 |] ~osc2_edges:[| 0.0 |] ~divisor:0)));
+    (* The streamed sampler fed [n] periods of each ring, cut into
+       random chunks of 1 .. [max_chunk] periods, against
+       [Sampler.sample] on the concatenated edges.  The rings are 2%
+       apart: with osc1 faster its edges fall behind the sample
+       instants, which pile up unlatched; with osc2 faster osc1 runs
+       ahead, and the edges a later instant needs pile up instead.
+       Both outgrow the initial buffers.  A second pass stops at a
+       random bit capacity and must give the same prefix. *)
+    Testkit.qcheck ~count:60 "streamed sampler == sample, any partition"
+      QCheck2.Gen.(
+        quad int (oneofl [ 1; 3; 1000 ]) bool (oneofl [ 1; 7; 300; 4096 ]))
+      (fun (seed, divisor, osc1_faster, max_chunk) ->
+        let rng = Ptrng_prng.Rng.create ~seed:(Int64.of_int seed) () in
+        let n = if divisor = 1000 then 40000 else 6000 in
+        let t1, t2 = if osc1_faster then (1.0, 1.02) else (1.02, 1.0) in
+        let jittered t = t *. (1.0 +. (0.1 *. (Ptrng_prng.Rng.float rng -. 0.5))) in
+        let a1 = Array.init n (fun _ -> jittered t1) in
+        let a2 = Array.init n (fun _ -> jittered t2) in
+        let expected =
+          Sampler.sample
+            ~osc1_edges:(Ptrng_osc.Oscillator.edges_of_periods a1)
+            ~osc2_edges:(Ptrng_osc.Oscillator.edges_of_periods a2)
+            ~divisor
+        in
+        let p1 = Float.Array.map_from_array Fun.id a1 in
+        let p2 = Float.Array.map_from_array Fun.id a2 in
+        let chunks =
+          let rec cut pos acc =
+            if pos >= n then List.rev acc
+            else
+              let len = min (n - pos) (1 + Ptrng_prng.Rng.int_below rng max_chunk) in
+              cut (pos + len) ((pos, len) :: acc)
+          in
+          cut 0 []
+        in
+        let streamed cap =
+          let st = Sampler.create ~divisor ~chunk:max_chunk in
+          let bits = Array.make cap false in
+          let pos =
+            List.fold_left
+              (fun pos (off, len) ->
+                Sampler.feed st ~p1:(Float.Array.sub p1 off len)
+                  ~p2:(Float.Array.sub p2 off len) ~len ~bits ~pos)
+              0 chunks
+          in
+          Array.sub bits 0 pos
+        in
+        let m = Array.length expected in
+        let cap = Ptrng_prng.Rng.int_below rng (m + 1) in
+        m > 0
+        && streamed (m + 10) = expected
+        && streamed cap = Array.sub expected 0 cap);
+    Testkit.case "feed rejects bad ranges" (fun () ->
+        let st = Sampler.create ~divisor:1 ~chunk:4 in
+        let p = Float.Array.make 4 1.0 in
+        Alcotest.check_raises "len" (Invalid_argument "Sampler.feed: bad len")
+          (fun () -> ignore (Sampler.feed st ~p1:p ~p2:p ~len:5 ~bits:[||] ~pos:0));
+        Alcotest.check_raises "pos" (Invalid_argument "Sampler.feed: bad pos")
+          (fun () ->
+            ignore (Sampler.feed st ~p1:p ~p2:p ~len:4 ~bits:(Array.make 2 false) ~pos:3)));
   ]
 
 let post_process_tests =
