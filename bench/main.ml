@@ -369,7 +369,7 @@ let section_noise_synth () =
   let n = 1 lsl (if smoke then 13 else if quick then 16 else 17) in
   let count = if smoke then 8 else 32 in
   let hm1 = 1e-3 in
-  let psd f = hm1 /. f in
+  let psd = { Ptrng_noise.Psd_model.h0 = 0.0; hm1; hm2 = 0.0 } in
   let blocks, kv =
     dual_run ~equal:( = ) (fun d ->
         let rng = Ptrng_prng.Rng.create ~seed:404L () in

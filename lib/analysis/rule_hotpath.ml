@@ -95,10 +95,10 @@ let default_manifest =
           "constructs one child generator per chunk boundary (a few \
            records); amortized over the chunk's samples by design" );
         ( "Ptrng_noise.Source.spectral_sync",
-          "per-block spectral synthesis: the first block's buffer, the \
-           amplitude spectrum built once at the first resynthesis, and \
-           each block's scratch spectrum, FFT and child streams run once \
-           per block (thousands of samples), bounded by the bench \
+          "per-block spectral synthesis: the first block's buffers, the \
+           amplitude spectrum and scratch spectrum built once at the \
+           first resynthesis, and each block's FFT and child streams run \
+           once per block (thousands of samples), bounded by the bench \
            words/sample gate" );
       ];
   }

@@ -19,7 +19,9 @@ type phase = { b_th : float; b_fl : float }
 type frac_freq = { h0 : float; hm1 : float; hm2 : float }
 (** One-sided fractional-frequency levels: white FM [h0], flicker FM
     [h_{-1}], random-walk FM [h_{-2}] (the last is 0 in the paper's
-    model but supported for ablations). *)
+    model but supported for ablations).  Spectral synthesis
+    ({!Spectral_synth}, {!Source.spectral}) takes this record as its
+    target PSD [h0 + h_{-1}/f] and rejects a nonzero [hm2]. *)
 
 val phase_psd : phase -> float -> float
 (** [phase_psd p f] evaluates [b_fl/f^3 + b_th/f^2].

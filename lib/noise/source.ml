@@ -21,8 +21,8 @@
    - Spectral: the stream is a sequence of fixed-size synthesized
      blocks; block b is rebuilt on demand from a salted per-block root,
      so random access (skip) costs at most one block synthesis.  Blocks
-     after the first reuse the block buffer and a cached amplitude
-     spectrum. *)
+     after the first reuse the block buffer, a cached amplitude
+     spectrum and the synthesis scratch. *)
 
 module Rng = Ptrng_prng.Rng
 module Gaussian = Ptrng_prng.Gaussian
@@ -38,7 +38,7 @@ type config =
   | CWhite of { sigma : float }
   | CKasdin of { alpha : float; sigma_w : float; taps : int; block : int }
   | CVoss of { octaves : int; sigma : float }
-  | CSpectral of { psd : float -> float; fs : float; block : int }
+  | CSpectral of { psd : Psd_model.frac_freq; fs : float; block : int }
 
 let white ~sigma =
   if sigma < 0.0 then invalid_arg "Source.white: sigma < 0";
@@ -69,6 +69,7 @@ let spectral ?(block = 1 lsl 16) ~psd ~fs () =
   if not (Fft.is_pow2 block) then
     invalid_arg "Source.spectral: block not a power of two";
   if fs <= 0.0 then invalid_arg "Source.spectral: fs <= 0";
+  if psd.Psd_model.hm2 <> 0.0 then invalid_arg "Source.spectral: hm2 <> 0";
   CSpectral { psd; fs; block }
 
 (* ------------------------------------------------------------------ *)
@@ -139,13 +140,14 @@ type voss_state = {
 }
 
 type spectral_state = {
-  s_psd : float -> float;
+  s_psd : Psd_model.frac_freq;
   s_fs : float;
   s_block : int;
   mutable cur : FA.t;          (* synthesized block [block_index] *)
   mutable block_index : int;   (* -1 = none yet *)
-  mutable amps : FA.t;         (* amplitude spectrum; empty until the
-                                  first resynthesis *)
+  mutable resynth : (FA.t * Spectral_synth.scratch) option;
+      (* amplitude spectrum and synthesis scratch; built at the first
+         resynthesis *)
 }
 
 type impl =
@@ -170,20 +172,29 @@ let[@inline] spectral_block_root ~root b =
   if b = 0 then root else Rng.derive_seed root (spectral_block_salt + b)
 
 (* The first synthesis allocates [cur] and evaluates the PSD per bin,
-   so a one-block stream holds nothing more.  Every later one builds the
-   amplitude spectrum once and rebuilds the block in place in [cur]. *)
+   so a one-block stream holds nothing more.  The first resynthesis
+   builds the amplitude spectrum and the scratch once; every block from
+   then on is rebuilt in place in [cur], allocating no float array. *)
 let spectral_sync st ~root b =
   if b <> st.block_index then begin
     let root = spectral_block_root ~root b in
-    if FA.length st.cur = 0 then
-      st.cur <-
-        Spectral_synth.generate_with_root ~root
-          ~psd:st.s_psd ~fs:st.s_fs st.s_block
-    else begin
-      if FA.length st.amps = 0 then
-        st.amps <- Spectral_synth.amplitudes ~psd:st.s_psd ~fs:st.s_fs st.s_block;
-      Spectral_synth.generate_into ~root ~amplitudes:st.amps st.cur
-    end;
+    (if FA.length st.cur = 0 then
+       st.cur <-
+         Spectral_synth.generate_with_root ~root
+           ~psd:st.s_psd ~fs:st.s_fs st.s_block
+     else
+       let amplitudes, scratch =
+         match st.resynth with
+         | Some r -> r
+         | None ->
+           let r =
+             ( Spectral_synth.amplitudes ~psd:st.s_psd ~fs:st.s_fs st.s_block,
+               Spectral_synth.scratch st.s_block )
+           in
+           st.resynth <- Some r;
+           r
+       in
+       Spectral_synth.generate_into ~root ~amplitudes ~scratch st.cur);
     st.block_index <- b
   end
 
@@ -219,7 +230,7 @@ let create config rng =
           s_block = block;
           cur = FA.create 0;
           block_index = -1;
-          amps = FA.create 0;
+          resynth = None;
         }
   in
   { root; pos = 0; impl }

@@ -53,22 +53,26 @@ val voss : ?octaves:int -> sigma:float -> unit -> config
     @raise Invalid_argument if [octaves] is outside [1,62] or
     [sigma < 0]. *)
 
-val spectral : ?block:int -> psd:(float -> float) -> fs:float -> unit -> config
-(** Frequency-domain synthesis with target one-sided PSD [psd] at rate
-    [fs], streamed as consecutive independent blocks of [block] samples
-    (a power of two, default 2^16); block 0 is bit-identical to
-    [Spectral_synth.generate] for the same creating generator, and any
-    block can be resynthesized on demand from its salted per-block
-    root, making {!skip} O(1) until the next fill.  The first block
-    synthesized evaluates [psd] per bin, so a one-block stream holds
-    only its block; the first resynthesis builds the amplitude spectrum
-    ([block]/2 floats, {!Spectral_synth.amplitudes}) and every later
-    block is rebuilt from it in place ({!Spectral_synth.generate_into}),
-    bit-identical to a fresh synthesis.  Statistics probing
+val spectral :
+  ?block:int -> psd:Psd_model.frac_freq -> fs:float -> unit -> config
+(** Frequency-domain synthesis with target one-sided PSD
+    [psd.h0 + psd.hm1/f] at rate [fs], streamed as consecutive
+    independent blocks of [block] samples (a power of two, default
+    2^16); block 0 is bit-identical to [Spectral_synth.generate] for
+    the same creating generator, and any block can be resynthesized on
+    demand from its salted per-block root, making {!skip} O(1) until
+    the next fill.  The first block synthesized evaluates the PSD per
+    bin, so a one-block stream holds only its block.  The first
+    resynthesis builds the amplitude spectrum ([block]/2 floats,
+    {!Spectral_synth.amplitudes}) and the synthesis scratch ([block]
+    floats of imaginary spectrum and one bin chunk's draws,
+    {!Spectral_synth.scratch}); every later block is rebuilt from them
+    in place ({!Spectral_synth.generate_into}), bit-identical to a
+    fresh synthesis and allocating no float array.  Statistics probing
     lags beyond ~[block]/8 feel the per-block periodicity — pick
     [block] comfortably above the longest correlation studied.
-    @raise Invalid_argument if [block] is not a power of two or
-    [fs <= 0]. *)
+    @raise Invalid_argument if [block] is not a power of two,
+    [fs <= 0] or [psd.hm2 <> 0]. *)
 
 type t
 (** A live source: configuration, root seed and stream position. *)

@@ -11,47 +11,72 @@ let samples_total =
    [ci]); the chunk size is part of the output contract. *)
 let bin_chunk = 4096
 
-(* Amplitude of bin k (1 <= k <= n/2) of an n-point block.
+let check ~fn (psd : Psd_model.frac_freq) ~fs n =
+  if not (Ptrng_signal.Fft.is_pow2 n) then
+    invalid_arg (fn ^ ": n must be a power of two");
+  if fs <= 0.0 then invalid_arg (fn ^ ": fs <= 0");
+  if psd.hm2 <> 0.0 then invalid_arg (fn ^ ": hm2 <> 0")
+
+(* Amplitude of bin k (1 <= k <= n/2) of an n-point block, for the
+   one-sided PSD S(f) = h0 + h_{-1}/f evaluated inline.
    E[|X_k|^2] = S(f_k) fs n / 2 for interior bins of an unscaled DFT,
    split between the real and imaginary draws; the real Nyquist bin
-   carries the full expected power. *)
-let[@inline] amplitude ~psd ~fs n k =
-  if k = n / 2 then sqrt (psd (fs /. 2.0) *. fs *. float_of_int n /. 2.0)
+   carries the full expected power.  [inv_n] is 1/n, exact for a power
+   of two, so each product below rounds as the quotient it replaces. *)
+let[@inline] amplitude (psd : Psd_model.frac_freq) ~fs ~inv_n n k =
+  if k = n / 2 then
+    let s = psd.h0 +. (psd.hm1 /. (fs *. 0.5)) in
+    sqrt (s *. fs *. float_of_int n *. 0.5)
   else
-    let f = float_of_int k *. fs /. float_of_int n in
-    sqrt (psd f *. fs *. float_of_int n /. 4.0)
+    let f = float_of_int k *. fs *. inv_n in
+    sqrt ((psd.h0 +. (psd.hm1 /. f)) *. fs *. float_of_int n *. 0.25)
 
 let amplitudes ~psd ~fs n =
-  FA.init (n / 2) (fun i -> amplitude ~psd ~fs n (i + 1))
+  check ~fn:"Spectral_synth.amplitudes" psd ~fs n;
+  let inv_n = 1.0 /. float_of_int n in
+  let t = FA.create (n / 2) in
+  for k = 1 to n / 2 do
+    FA.unsafe_set t (k - 1) (amplitude psd ~fs ~inv_n n k)
+  done;
+  t
 
-(* Where [synthesize] takes bin amplitudes from: the target PSD,
+(* Where [synthesize] takes bin amplitudes from: the PSD coefficients,
    evaluated per bin, or a table built by [amplitudes]. *)
-type amps = Psd of (float -> float) * float | Table of FA.t
+type amps = Coeffs of Psd_model.frac_freq * float | Table of FA.t
 
-let[@inline] amp_at amps n k =
+let[@inline] amp_at amps ~inv_n n k =
   match amps with
-  | Psd (psd, fs) -> amplitude ~psd ~fs n k
+  | Coeffs (psd, fs) -> amplitude psd ~fs ~inv_n n k
   | Table t -> FA.unsafe_get t (k - 1)
 
+(* Working storage of an n-point synthesis besides the block: the
+   imaginary half of the spectrum, which the inverse transform
+   overwrites, and one bin chunk's (a, b) draws. *)
+type scratch = { im : FA.t; draws : FA.t }
+
+let scratch n =
+  let nbins = max 0 ((n / 2) - 1) in
+  (* At least one slot: the Nyquist draw goes through it too. *)
+  { im = FA.create n; draws = FA.create (max 1 (2 * min bin_chunk nbins)) }
+
 (* The one synthesis routine: overwrites all of [re] (length n) with the
-   block for [root], on the calling domain.  Spreading the bin chunks
-   over the domain pool did not pay (under 1.1x on two domains for a
-   2^22 block, docs/PARALLELISM.md), and every executable reaches this
-   on one domain. *)
-let synthesize ~root amps re =
+   block for [root], on the calling domain, using [im] and [draws] of
+   [s] as working storage.  Spreading the bin chunks over the domain
+   pool did not pay (under 1.1x on two domains for a 2^22 block,
+   docs/PARALLELISM.md), and every executable reaches this on one
+   domain. *)
+let synthesize ~root amps s re =
   let n = FA.length re in
   Ptrng_telemetry.Registry.Counter.add samples_total n;
-  let half = n / 2 in
+  let half = n / 2 and inv_n = 1.0 /. float_of_int n in
+  let im = s.im and draws = s.draws in
   (* The bin loop writes every im slot but the DC and Nyquist bins. *)
-  let im = FA.create n in
   FA.set im 0 0.0;
   FA.set im half 0.0;
   let nbins = half - 1 in
   let nchunks = (nbins + bin_chunk - 1) / bin_chunk in
   (* The DC bin stays zero; [re] may still hold an earlier block. *)
   FA.set re 0 0.0;
-  (* One buffer per call for every chunk's (a, b) draws. *)
-  let draws = FA.create (2 * min bin_chunk (max 0 nbins)) in
   for ci = 0 to nchunks - 1 do
     let child = Rng.child ~root ~index:ci () in
     let k_lo = 1 + (ci * bin_chunk) in
@@ -62,7 +87,7 @@ let synthesize ~root amps re =
        allocation-free (Gaussian.fill_fa). *)
     Ptrng_prng.Gaussian.fill_fa child ~sigma:1.0 draws ~pos:0 ~len:(2 * bins);
     for k = k_lo to k_hi do
-      let amp = amp_at amps n k in
+      let amp = amp_at amps ~inv_n n k in
       let j = 2 * (k - k_lo) in
       let a = amp *. FA.unsafe_get draws j in
       let b = amp *. FA.unsafe_get draws (j + 1) in
@@ -73,10 +98,12 @@ let synthesize ~root amps re =
     done
   done;
   (* The Nyquist bin is real; its draw comes from a dedicated child
-     stream beyond the interior chunk indices. *)
+     stream beyond the interior chunk indices, through the same bulk
+     sampler (one unit draw: the value [Gaussian.draw] returns). *)
   if half >= 1 && half < n then begin
     let child = Rng.child ~root ~index:(nchunks + 1) () in
-    FA.set re half (amp_at amps n half *. Ptrng_prng.Gaussian.draw child)
+    Ptrng_prng.Gaussian.fill_fa child ~sigma:1.0 draws ~pos:0 ~len:1;
+    FA.set re half (amp_at amps ~inv_n n half *. FA.unsafe_get draws 0)
   end;
   (* The inverse applies the 1/n scaling, so a forward transform of the
      result returns exactly the spectrum built above; the imaginary
@@ -84,20 +111,21 @@ let synthesize ~root amps re =
   Ptrng_signal.Fft.inverse_pow2_real ~re ~im
 
 let generate_with_root ~root ~psd ~fs n =
-  if not (Ptrng_signal.Fft.is_pow2 n) then
-    invalid_arg "Spectral_synth.generate: n must be a power of two";
-  if fs <= 0.0 then invalid_arg "Spectral_synth.generate: fs <= 0";
-  let re = FA.make n 0.0 in
-  synthesize ~root (Psd (psd, fs)) re;
+  check ~fn:"Spectral_synth.generate" psd ~fs n;
+  (* [synthesize] writes every slot of [re]. *)
+  let re = FA.create n in
+  synthesize ~root (Coeffs (psd, fs)) (scratch n) re;
   re
 
-let generate_into ~root ~amplitudes re =
+let generate_into ~root ~amplitudes ~scratch re =
   let n = FA.length re in
   if not (Ptrng_signal.Fft.is_pow2 n) then
     invalid_arg "Spectral_synth.generate_into: length not a power of two";
   if FA.length amplitudes <> n / 2 then
     invalid_arg "Spectral_synth.generate_into: amplitudes length <> n/2";
-  synthesize ~root (Table amplitudes) re
+  if FA.length scratch.im <> n then
+    invalid_arg "Spectral_synth.generate_into: scratch not built for n";
+  synthesize ~root (Table amplitudes) scratch re
 
 let generate rng ~psd ~fs n =
   let root = Rng.bits64 rng in
@@ -105,6 +133,7 @@ let generate rng ~psd ~fs n =
 
 let generate_many ?domains rng ~psd ~fs ~count n =
   if count < 0 then invalid_arg "Spectral_synth.generate_many: count < 0";
+  check ~fn:"Spectral_synth.generate_many" psd ~fs n;
   Ptrng_exec.Pool.parallel_map_streams ?domains ~rng
     (fun _ child -> generate child ~psd ~fs n)
     count

@@ -56,7 +56,9 @@ let source ?(flicker_block = default_flicker_block) rng cfg =
       let block = Ptrng_signal.Fft.next_pow2 flicker_block in
       Some
         (Source.create
-           (Source.spectral ~block ~psd:(fun f -> hm1 /. f) ~fs:cfg.f0 ())
+           (Source.spectral ~block
+              ~psd:{ Ptrng_noise.Psd_model.h0 = 0.0; hm1; hm2 = 0.0 }
+              ~fs:cfg.f0 ())
            rng)
   in
   let rw =

@@ -39,7 +39,11 @@ let float_repr v =
   else
     (* Shortest representation that round-trips. *)
     let s = Printf.sprintf "%.12g" v in
-    if float_of_string s = v then s else Printf.sprintf "%.17g" v
+    let s = if float_of_string s = v then s else Printf.sprintf "%.17g" v in
+    (* %.17g prints an integer below 1e17 with neither point nor
+       exponent, which would read back as an [Int]. *)
+    if String.exists (function '.' | 'e' -> true | _ -> false) s then s
+    else s ^ ".0"
 
 let rec emit ~indent ~level b j =
   let nl pad =
@@ -177,7 +181,8 @@ let parse_number c =
   | Some i -> Int i
   | None -> (
     match float_of_string_opt s with
-    | Some f -> Float f
+    | Some f when Float.is_finite f -> Float f
+    | Some _ -> fail c (Printf.sprintf "number out of range %S" s)
     | None -> fail c (Printf.sprintf "bad number %S" s))
 
 let rec parse_value c =

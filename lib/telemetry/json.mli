@@ -21,12 +21,16 @@ val to_float : t -> float option
 (** Numeric value of [Int]/[Float]. *)
 
 val to_string : t -> string
-(** Compact serialization (no spaces, no trailing newline). *)
+(** Compact serialization (no spaces, no trailing newline).  A [Float]
+    always prints with a point or an exponent, so it reads back as a
+    [Float], never as an [Int]. *)
 
 val to_string_pretty : t -> string
 (** Two-space-indented serialization for files meant to be read. *)
 
 val of_string : string -> t
 (** Strict parser for the subset this module emits (no exponents in
-    keys, no comments, UTF-8 passed through).
+    keys, no comments, UTF-8 passed through).  A number beyond the
+    float range (["1e999"]) is malformed: JSON has no infinity, and
+    {!to_string} would print it as [null].
     @raise Failure on malformed input. *)

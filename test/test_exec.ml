@@ -265,7 +265,7 @@ let workload_tests =
         check_invariant "generate_many" (fun d ->
             let rng = Testkit.rng ~seed:52L () in
             Ptrng_noise.Spectral_synth.generate_many ~domains:d rng
-              ~psd:(fun f -> 1e-3 /. f)
+              ~psd:(Testkit.psd ~hm1:1e-3 ())
               ~fs:1.0 ~count:5 (1 lsl 10)));
     Testkit.case "pair and restart traces are bit-identical across domains"
       (fun () ->

@@ -158,6 +158,38 @@ let model_comparison_tests =
         in
         let slope, se = a.growth_exponent in
         Testkit.check_abs ~tol:(Float.max 0.05 (4.0 *. se)) "slope 1" 1.0 slope);
+    (* Metamorphic: with the flicker term off the jitter realizations are
+       independent, so the fitted quadratic coefficient vanishes and every
+       point obeys Bienaymé.  s_N is the difference of two adjacent sums
+       of N relative jitters of variance sigma_1^2 + sigma_2^2, so
+       sigma_N^2 = 2 N (sigma_1^2 + sigma_2^2) = 2 N b_th / f0^3 for the
+       pair's relative b_th.  The per-ring variances come from the PSD
+       model, not from the fit. *)
+    Testkit.case "flicker off: b = 0 and sigma_N^2 = 2 N b_th / f0^3" (fun () ->
+        let pair =
+          Ptrng_osc.Pair.of_relative ~f0
+            ~relative:{ paper_phase with Ptrng_noise.Psd_model.b_fl = 0.0 } ()
+        in
+        let a =
+          Ptrng_model.Multilevel.characterize ~n_periods:(1 lsl 18)
+            ~rng:(Testkit.rng ~seed:7L ()) pair
+        in
+        Testkit.check_true
+          (Printf.sprintf "|b| = %g <= 3 se = %g" (Float.abs a.fit.b)
+             (3.0 *. a.fit.b_se))
+          (Float.abs a.fit.b <= 3.0 *. a.fit.b_se);
+        let ring_var (o : Ptrng_osc.Oscillator.config) =
+          Ptrng_noise.Psd_model.thermal_period_jitter_var ~f0:o.f0 o.phase
+        in
+        let per_period = ring_var pair.osc1 +. ring_var pair.osc2 in
+        Array.iter
+          (fun (p : Ptrng_measure.Variance_curve.point) ->
+            let expected = 2.0 *. float_of_int p.n *. per_period in
+            Testkit.check_true
+              (Printf.sprintf "N = %d: sigma2 %g vs %g within 3 se %g" p.n
+                 p.sigma2 expected p.stderr)
+              (Float.abs (p.sigma2 -. expected) <= 3.0 *. p.stderr))
+          a.ideal_curve);
   ]
 
 let trng_chain_tests =

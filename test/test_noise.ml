@@ -128,14 +128,14 @@ let spectral_synth_tests =
     Testkit.case "white target reproduces a flat spectrum" (fun () ->
         let rng = Testkit.rng () in
         let level = 5e-4 and fs = 100.0 in
-        let x = Spectral_synth.generate rng ~psd:(fun _ -> level) ~fs (1 lsl 15) in
+        let x = Spectral_synth.generate rng ~psd:(Testkit.psd ~h0:level ()) ~fs (1 lsl 15) in
         let s = Ptrng_signal.Psd.welch ~seg_len:1024 ~fs x in
         let measured = Ptrng_signal.Psd.band_mean s ~f_lo:(fs /. 100.0) ~f_hi:(fs /. 2.2) in
         Testkit.check_rel ~tol:0.06 "level" level measured);
     Testkit.case "1/f target reproduces slope and level" (fun () ->
         let rng = Testkit.rng () in
         let hm1 = 1e-3 and fs = 1.0 in
-        let x = Spectral_synth.generate rng ~psd:(fun f -> hm1 /. f) ~fs (1 lsl 16) in
+        let x = Spectral_synth.generate rng ~psd:(Testkit.psd ~hm1 ()) ~fs (1 lsl 16) in
         let s = Ptrng_signal.Psd.welch ~seg_len:4096 ~fs x in
         let slope, _ = Slope.log_log_slope s ~f_lo:2e-3 ~f_hi:0.2 in
         Testkit.check_abs ~tol:0.1 "slope" (-1.0) slope;
@@ -145,7 +145,7 @@ let spectral_synth_tests =
     Testkit.case "flicker synthesis matches the Allan closed form" (fun () ->
         let rng = Testkit.rng ~seed:123L () in
         let hm1 = 2e-6 in
-        let y = Spectral_synth.generate rng ~psd:(fun f -> hm1 /. f) ~fs:1.0 (1 lsl 17) in
+        let y = Spectral_synth.generate rng ~psd:(Testkit.psd ~hm1 ()) ~fs:1.0 (1 lsl 17) in
         let reference = Ptrng_stats.Allan.avar_flicker_fm ~hm1 in
         List.iter
           (fun m ->
@@ -155,7 +155,7 @@ let spectral_synth_tests =
     Testkit.case "white FM synthesis matches the Allan closed form" (fun () ->
         let rng = Testkit.rng ~seed:124L () in
         let h0 = 3e-5 in
-        let y = Spectral_synth.generate rng ~psd:(fun _ -> h0) ~fs:1.0 (1 lsl 16) in
+        let y = Spectral_synth.generate rng ~psd:(Testkit.psd ~h0 ()) ~fs:1.0 (1 lsl 16) in
         List.iter
           (fun m ->
             let tau = float_of_int m in
@@ -166,7 +166,7 @@ let spectral_synth_tests =
     Testkit.case "white + flicker mixture has both regimes" (fun () ->
         let rng = Testkit.rng () in
         let h0 = 1e-4 and hm1 = 1e-6 in
-        let y = Spectral_synth.generate rng ~psd:(fun f -> h0 +. (hm1 /. f)) ~fs:1.0 (1 lsl 16) in
+        let y = Spectral_synth.generate rng ~psd:(Testkit.psd ~h0 ~hm1 ()) ~fs:1.0 (1 lsl 16) in
         let s = Ptrng_signal.Psd.welch ~seg_len:4096 ~fs:1.0 y in
         (* At high f the white floor dominates, at low f the 1/f term. *)
         let high = Ptrng_signal.Psd.band_mean s ~f_lo:0.2 ~f_hi:0.45 in
@@ -175,21 +175,21 @@ let spectral_synth_tests =
         Testkit.check_rel ~tol:0.35 "flicker lift" (h0 +. (hm1 /. 0.003)) low);
     Testkit.case "zero model yields silence" (fun () ->
         let rng = Testkit.rng () in
-        let y = Spectral_synth.generate rng ~psd:(fun _ -> 0.0) ~fs:1.0 256 in
+        let y = Spectral_synth.generate rng ~psd:(Testkit.psd ()) ~fs:1.0 256 in
         Array.iter (fun v -> Testkit.check_abs ~tol:0.0 "zero" 0.0 v) y);
     Testkit.case "block has zero mean (DC bin forced to zero)" (fun () ->
         let rng = Testkit.rng () in
-        let y = Spectral_synth.generate rng ~psd:(fun f -> 1e-3 /. f) ~fs:1.0 4096 in
+        let y = Spectral_synth.generate rng ~psd:(Testkit.psd ~hm1:1e-3 ()) ~fs:1.0 4096 in
         let scale = sqrt (Ptrng_stats.Descriptive.variance y) in
         Testkit.check_abs ~tol:(1e-12 *. scale) "mean" 0.0 (Ptrng_stats.Descriptive.mean y));
     Testkit.case "generate advances the caller by one draw" (fun () ->
         let rng = Testkit.rng ~seed:5L () and twin = Testkit.rng ~seed:5L () in
-        ignore (Spectral_synth.generate rng ~psd:(fun _ -> 1.0) ~fs:1.0 1024);
+        ignore (Spectral_synth.generate rng ~psd:(Testkit.psd ~h0:1.0 ()) ~fs:1.0 1024);
         ignore (Ptrng_prng.Rng.bits64 twin);
         Alcotest.(check int64) "next draw" (Ptrng_prng.Rng.bits64 twin)
           (Ptrng_prng.Rng.bits64 rng));
     Testkit.case "generate is generate_with_root on one root draw" (fun () ->
-        let psd f = 1.0 +. (0.1 /. f) in
+        let psd = Testkit.psd ~h0:1.0 ~hm1:0.1 () in
         let y = Spectral_synth.generate (Testkit.rng ~seed:6L ()) ~psd ~fs:2.0 2048 in
         let root = Ptrng_prng.Rng.bits64 (Testkit.rng ~seed:6L ()) in
         let z = Spectral_synth.generate_with_root ~root ~psd ~fs:2.0 2048 in
@@ -198,30 +198,40 @@ let spectral_synth_tests =
           (Testkit.float_digest (Float.Array.to_seq z)));
     Testkit.case "generate_into with cached amplitudes equals generate_with_root"
       (fun () ->
-        let psd f = 2.0 /. f and n = 1024 in
+        let psd = Testkit.psd ~hm1:2.0 () and n = 1024 in
         let amplitudes = Spectral_synth.amplitudes ~psd ~fs:1.0 n in
         Alcotest.(check int) "n/2 bins" (n / 2) (Float.Array.length amplitudes);
         let re = Float.Array.make n nan in
-        Spectral_synth.generate_into ~root:77L ~amplitudes re;
+        let scratch = Spectral_synth.scratch n in
+        (* Twice through one scratch: the second block must not see the
+           first one's leftovers. *)
+        Spectral_synth.generate_into ~root:76L ~amplitudes ~scratch re;
+        Spectral_synth.generate_into ~root:77L ~amplitudes ~scratch re;
         let z = Spectral_synth.generate_with_root ~root:77L ~psd ~fs:1.0 n in
         Alcotest.(check string) "same block"
           (Testkit.float_digest (Float.Array.to_seq z))
           (Testkit.float_digest (Float.Array.to_seq re)));
     Testkit.case "generate_into rejects mismatched buffers" (fun () ->
-        let amplitudes = Spectral_synth.amplitudes ~psd:(fun _ -> 1.0) ~fs:1.0 64 in
+        let amplitudes = Spectral_synth.amplitudes ~psd:(Testkit.psd ~h0:1.0 ()) ~fs:1.0 64 in
+        let scratch = Spectral_synth.scratch 64 in
         Alcotest.check_raises "length 100"
           (Invalid_argument "Spectral_synth.generate_into: length not a power of two")
           (fun () ->
-            Spectral_synth.generate_into ~root:1L ~amplitudes
+            Spectral_synth.generate_into ~root:1L ~amplitudes ~scratch
               (Float.Array.create 100));
         Alcotest.check_raises "length 128"
           (Invalid_argument "Spectral_synth.generate_into: amplitudes length <> n/2")
           (fun () ->
+            Spectral_synth.generate_into ~root:1L ~amplitudes ~scratch
+              (Float.Array.create 128));
+        Alcotest.check_raises "scratch for 128"
+          (Invalid_argument "Spectral_synth.generate_into: scratch not built for n")
+          (fun () ->
             Spectral_synth.generate_into ~root:1L ~amplitudes
-              (Float.Array.create 128)));
+              ~scratch:(Spectral_synth.scratch 128) (Float.Array.create 64)));
     Testkit.case "generate_many gives distinct blocks" (fun () ->
         let blocks =
-          Spectral_synth.generate_many (Testkit.rng ()) ~psd:(fun _ -> 1.0) ~fs:1.0
+          Spectral_synth.generate_many (Testkit.rng ()) ~psd:(Testkit.psd ~h0:1.0 ()) ~fs:1.0
             ~count:3 256
         in
         Alcotest.(check int) "count" 3 (Array.length blocks);
@@ -232,17 +242,33 @@ let spectral_synth_tests =
           (Invalid_argument "Spectral_synth.generate_many: count < 0")
           (fun () ->
             ignore
-              (Spectral_synth.generate_many (Testkit.rng ()) ~psd:(fun _ -> 1.0) ~fs:1.0
+              (Spectral_synth.generate_many (Testkit.rng ()) ~psd:(Testkit.psd ~h0:1.0 ()) ~fs:1.0
                  ~count:(-1) 256)));
     Testkit.case "rejects non-positive fs" (fun () ->
         Alcotest.check_raises "fs 0" (Invalid_argument "Spectral_synth.generate: fs <= 0")
           (fun () ->
-            ignore (Spectral_synth.generate (Testkit.rng ()) ~psd:(fun _ -> 1.0) ~fs:0.0 64)));
+            ignore (Spectral_synth.generate (Testkit.rng ()) ~psd:(Testkit.psd ~h0:1.0 ()) ~fs:0.0 64)));
+    Testkit.case "rejects random-walk FM (hm2 <> 0)" (fun () ->
+        let psd = { Psd_model.h0 = 0.0; hm1 = 1e-3; hm2 = 1e-9 } in
+        Alcotest.check_raises "generate"
+          (Invalid_argument "Spectral_synth.generate: hm2 <> 0")
+          (fun () -> ignore (Spectral_synth.generate (Testkit.rng ()) ~psd ~fs:1.0 64));
+        Alcotest.check_raises "amplitudes"
+          (Invalid_argument "Spectral_synth.amplitudes: hm2 <> 0")
+          (fun () -> ignore (Spectral_synth.amplitudes ~psd ~fs:1.0 64));
+        Alcotest.check_raises "generate_many"
+          (Invalid_argument "Spectral_synth.generate_many: hm2 <> 0")
+          (fun () ->
+            ignore
+              (Spectral_synth.generate_many (Testkit.rng ()) ~psd ~fs:1.0 ~count:0 64));
+        Alcotest.check_raises "Source.spectral"
+          (Invalid_argument "Source.spectral: hm2 <> 0")
+          (fun () -> ignore (Source.spectral ~psd ~fs:1.0 ())));
     Testkit.case "rejects non-pow2 length" (fun () ->
         let rng = Testkit.rng () in
         Alcotest.check_raises "100"
           (Invalid_argument "Spectral_synth.generate: n must be a power of two")
-          (fun () -> ignore (Spectral_synth.generate rng ~psd:(fun _ -> 1.0) ~fs:1.0 100)));
+          (fun () -> ignore (Spectral_synth.generate rng ~psd:(Testkit.psd ~h0:1.0 ()) ~fs:1.0 100)));
   ]
 
 let cross_generator_tests =
@@ -259,7 +285,7 @@ let cross_generator_tests =
         in
         let rng2 = Testkit.rng ~seed:2L () in
         let spectral =
-          Spectral_synth.generate rng2 ~psd:(fun f -> hm1 /. f) ~fs:1.0 n
+          Spectral_synth.generate rng2 ~psd:(Testkit.psd ~hm1 ()) ~fs:1.0 n
         in
         let voss_gen = Voss.create (Testkit.rng ~seed:3L ()) ~octaves:16 in
         let sigma = sqrt (hm1 *. log 2.0) in

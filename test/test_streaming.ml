@@ -114,7 +114,7 @@ let voss_tests =
 let spectral_tests =
   [
     Testkit.case "spectral block 0 == Spectral_synth.generate" (fun () ->
-        let psd f = 1.0 /. f and fs = 1e6 in
+        let psd = Testkit.psd ~hm1:1.0 () and fs = 1e6 in
         let n = 4096 in
         let expected =
           Spectral_synth.generate (Testkit.rng ~seed:5L ()) ~psd ~fs n
@@ -127,7 +127,7 @@ let spectral_tests =
             check_fa_eq (Printf.sprintf "chunk %d" size) expected out)
           chunk_sizes);
     Testkit.case "blocks are independent but reproducible" (fun () ->
-        let psd f = 1.0 /. f and fs = 1e6 in
+        let psd = Testkit.psd ~hm1:1.0 () and fs = 1e6 in
         let config = Source.spectral ~block:1024 ~psd ~fs () in
         let a = streamed config ~seed:9L ~size:512 4096 in
         let b = streamed config ~seed:9L ~size:4096 4096 in
@@ -247,7 +247,7 @@ let fa_bytes n = float_of_int ((n + 1) * (Sys.word_size / 8))
 let bin_chunk = 4096
 
 let spectral_block_tests =
-  let psd f = 1.0 /. f and fs = 1e6 and block = 1 lsl 12 in
+  let psd = Testkit.psd ~hm1:1.0 () and fs = 1e6 and block = 1 lsl 12 in
   let config = Source.spectral ~block ~psd ~fs () in
   let reference blocks =
     digest_fa (List.map (spectral_block_ref ~seed:61L ~psd ~fs ~block) blocks)
@@ -292,31 +292,47 @@ let spectral_block_tests =
         let bytes = major_direct_bytes (fun () -> Source.fill src out) in
         (* re and im, plus one buffer for a chunk's (a, b) draws; an
            amplitude table (n/2 floats) or a draw array per chunk would
-           exceed the slack.  The psd closure's boxed argument and
-           result per bin stay in the minor heap, as before. *)
+           exceed the slack. *)
         let bound = (2.0 *. fa_bytes n) +. fa_bytes (2 * bin_chunk) +. 16384.0 in
         Testkit.check_true
           (Printf.sprintf "%.0f bytes <= %.0f" bytes bound)
           (bytes <= bound));
+    (* The PSD is evaluated inline from its coefficients: no float is
+       boxed per bin, so the minor heap sees only the per-chunk child
+       generators.  Comparing two block sizes cancels the constant
+       miscount of the minor-word counter. *)
+    Testkit.case "one-block synthesis boxes nothing per bin" (fun () ->
+        let words n =
+          let config = Source.spectral ~block:n ~psd ~fs () in
+          let run () =
+            let src = Source.create config (Testkit.rng ~seed:64L ()) in
+            let out = FA.create n in
+            Testkit.minor_words (fun () -> Source.fill src out)
+          in
+          ignore (run ());
+          run ()
+        in
+        let small = 1 lsl 16 and large = 1 lsl 18 in
+        let per_sample =
+          (words large -. words small) /. float_of_int (large - small)
+        in
+        Testkit.check_true
+          (Printf.sprintf "%.4f minor words per added sample < 0.1" per_sample)
+          (per_sample < 0.1));
     Testkit.case "later blocks allocate no table and no re buffer" (fun () ->
         let n = 1 lsl 16 in
-        let calls = ref 0 in
-        let psd f =
-          incr calls;
-          psd f
-        in
         let config = Source.spectral ~block:n ~psd ~fs () in
         let src = Source.create config (Testkit.rng ~seed:63L ()) in
         let out = FA.create n in
         Source.fill src out;
         Source.fill src out;
-        let before = !calls in
         let bytes = major_direct_bytes (fun () -> Source.fill src out) in
-        Alcotest.(check int) "no PSD evaluation" before !calls;
-        (* im and one draw buffer only: an amplitude table (n/2
-           floats), a fresh re buffer (n floats) or a draw array per
-           chunk (n floats in all) would exceed the slack. *)
-        let bound = fa_bytes n +. fa_bytes (2 * bin_chunk) +. 16384.0 in
+        (* The stream keeps the amplitude table, im and the draw buffer
+           from the first resynthesis on, so a later block allocates no
+           float array at all: a fresh im or re (n floats), a table
+           (n/2 floats) or a draw buffer (2 * bin_chunk floats) would
+           each exceed the constant slack. *)
+        let bound = 16384.0 in
         Testkit.check_true
           (Printf.sprintf "%.0f bytes <= %.0f" bytes bound)
           (bytes <= bound));
@@ -353,7 +369,7 @@ let fft_tests =
     Testkit.case "spectral synthesis digest" (fun () ->
         let y =
           Spectral_synth.generate (Rng.create ~seed:101L ())
-            ~psd:(fun f -> 1.0 /. f) ~fs:1.0 65536
+            ~psd:(Testkit.psd ~hm1:1.0 ()) ~fs:1.0 65536
         in
         Alcotest.(check string) "1/f, 2^16" "1596f4d5fe1d894e29781909dac1eaae"
           (digest_fa [ FA.map_from_array Fun.id y ]));
@@ -380,7 +396,7 @@ let fft_tests =
           (counter_delta "ptrng_signal_fft_total" (fun () ->
                ignore
                  (Spectral_synth.generate (Rng.create ~seed:3L ())
-                    ~psd:(fun f -> 1.0 /. f) ~fs:1.0 4096)));
+                    ~psd:(Testkit.psd ~hm1:1.0 ()) ~fs:1.0 4096)));
         let x = Array.make 100 1.0 and y = Array.make 100 0.0 in
         Alcotest.(check int) "length-100 dft is one bluestein" 1
           (counter_delta "ptrng_signal_fft_bluestein_total" (fun () ->

@@ -192,12 +192,50 @@ let json_gen =
   in
   tree
 
+(* Every finite double, drawn from its bit pattern, so integers above
+   1e15 and subnormals come up as often as ordinary values. *)
+let finite_float_gen =
+  QCheck2.Gen.map
+    (fun bits ->
+      let f = Int64.float_of_bits bits in
+      if Float.is_finite f then f else 0.0)
+    QCheck2.Gen.int64
+
+(* Arbitrary bytes, and strings over the characters JSON is made of, so
+   the fuzz reaches past the first token. *)
+let json_fuzz_gen =
+  let open QCheck2.Gen in
+  oneof
+    [
+      string_size ~gen:char (0 -- 40);
+      string_size
+        ~gen:(oneofl (List.of_seq (String.to_seq "{}[]\":,.+-eE019 \\untrfalse")))
+        (0 -- 40);
+    ]
+
 let json_props =
   [
     Testkit.qcheck "compact serialization round-trips" json_gen (fun j ->
         Json.of_string (Json.to_string j) = json_normalize j);
     Testkit.qcheck "pretty serialization round-trips" json_gen (fun j ->
         Json.of_string (Json.to_string_pretty j) = json_normalize j);
+    Testkit.qcheck ~count:1000 "finite floats round-trip as floats"
+      finite_float_gen (fun f ->
+        match Json.of_string (Json.to_string (Json.Float f)) with
+        | Json.Float g -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+        | _ -> false);
+    Testkit.qcheck ~count:1000 "of_string returns a value or raises Failure"
+      json_fuzz_gen (fun s ->
+        match Json.of_string s with
+        | (_ : Json.t) -> true
+        | exception Failure _ -> true);
+    Testkit.case "out-of-range numbers are rejected" (fun () ->
+        List.iter
+          (fun s ->
+            match Json.of_string s with
+            | v -> Alcotest.failf "%S parsed as %s" s (Json.to_string v)
+            | exception Failure _ -> ())
+          [ "1e999"; "-1e999"; "[1,1e400]"; "{\"a\":-1e309}" ]);
   ]
 
 let prometheus_golden =

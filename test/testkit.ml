@@ -29,6 +29,9 @@ let source_samples config rng n =
   Ptrng_noise.Source.fill (Ptrng_noise.Source.create config rng) buf;
   Array.init n (Float.Array.get buf)
 
+(* The one-sided PSD h0 + hm1/f, in the form spectral synthesis takes. *)
+let psd ?(h0 = 0.0) ?(hm1 = 0.0) () = { Ptrng_noise.Psd_model.h0; hm1; hm2 = 0.0 }
+
 (* Minor-heap words allocated while [f] runs. *)
 let minor_words f =
   let w0 = Gc.minor_words () in
