@@ -271,6 +271,93 @@ let spectral_synth_tests =
           (fun () -> ignore (Spectral_synth.generate rng ~psd:(Testkit.psd ~h0:1.0 ()) ~fs:1.0 100)));
   ]
 
+(* An independent synthesis of the block [Spectral_synth] builds for
+   [root]: the same child streams, draws and amplitudes written into
+   the full Hermitian spectrum (bin n - k the conjugate of bin k), then
+   the n-point complex inverse [Fft.inverse_pow2].  It shares no code
+   with the library's half-spectrum transform. *)
+module Reference_synth = struct
+  module FA = Float.Array
+  module Rng = Ptrng_prng.Rng
+
+  (* Bins per child stream, part of the output contract. *)
+  let bin_chunk = 4096
+
+  let block ~root ~psd ~fs n =
+    let re = FA.make n 0.0 and im = FA.make n 0.0 in
+    let half = n / 2 in
+    if half >= 1 then begin
+      let amps = Spectral_synth.amplitudes ~psd ~fs n in
+      let nchunks = (half - 1 + bin_chunk - 1) / bin_chunk in
+      for ci = 0 to nchunks - 1 do
+        let child = Rng.child ~root ~index:ci () in
+        let k_lo = 1 + (ci * bin_chunk) in
+        let k_hi = min (half - 1) (k_lo + bin_chunk - 1) in
+        let d = FA.create (2 * (k_hi - k_lo + 1)) in
+        Ptrng_prng.Gaussian.fill_fa child ~sigma:1.0 d ~pos:0 ~len:(FA.length d);
+        for k = k_lo to k_hi do
+          let amp = FA.get amps (k - 1) and j = 2 * (k - k_lo) in
+          let a = amp *. FA.get d j and b = amp *. FA.get d (j + 1) in
+          FA.set re k a;
+          FA.set im k b;
+          FA.set re (n - k) a;
+          FA.set im (n - k) (-.b)
+        done
+      done;
+      let d = FA.create 1 in
+      Ptrng_prng.Gaussian.fill_fa (Rng.child ~root ~index:(nchunks + 1) ()) ~sigma:1.0 d
+        ~pos:0 ~len:1;
+      FA.set re half (FA.get amps (half - 1) *. FA.get d 0)
+    end;
+    Ptrng_signal.Fft.inverse_pow2 ~re ~im;
+    re
+
+  (* Every sample of [got] within [1e-12] of the reference block's rms. *)
+  let check name expected got =
+    let n = FA.length expected in
+    let ss = ref 0.0 in
+    FA.iter (fun v -> ss := !ss +. (v *. v)) expected;
+    let tol = 1e-12 *. sqrt (!ss /. float_of_int n) in
+    Alcotest.(check int) (name ^ ": length") n (FA.length got);
+    FA.iteri
+      (fun i e ->
+        let g = FA.get got i in
+        if not (Float.abs (g -. e) <= tol) then
+          Alcotest.failf "%s: sample %d is %h, reference %h (tolerance %g)" name i g e
+            tol)
+      expected
+
+  (* [generate_with_root] and [generate_into] against the reference, for
+     a white and a 1/f target and three roots. *)
+  let check_length log2n =
+    let n = 1 lsl log2n and fs = 1e6 in
+    List.iter
+      (fun (label, psd) ->
+        let amplitudes = Spectral_synth.amplitudes ~psd ~fs n in
+        let scratch = Spectral_synth.scratch n in
+        let into = FA.make n nan in
+        List.iter
+          (fun root ->
+            let name = Printf.sprintf "2^%d %s root %Ld" log2n label root in
+            let expected = block ~root ~psd ~fs n in
+            check (name ^ " generate_with_root") expected
+              (Spectral_synth.generate_with_root ~root ~psd ~fs n);
+            Spectral_synth.generate_into ~root ~amplitudes ~scratch into;
+            check (name ^ " generate_into") expected into)
+          [ 1L; 0x5eed_2014L; -7L ])
+      [ ("white", Testkit.psd ~h0:1e-3 ()); ("1/f", Testkit.psd ~hm1:2.0 ()) ]
+end
+
+let equivalence_tests =
+  [
+    Testkit.case "synthesis == full-spectrum reference, 2^0 .. 2^20" (fun () ->
+        for log2n = 0 to 20 do
+          Reference_synth.check_length log2n
+        done);
+    Testkit.slow_case "synthesis == full-spectrum reference, 2^22" (fun () ->
+        Reference_synth.check_length 22);
+  ]
+
 let cross_generator_tests =
   [
     Testkit.slow_case "three flicker generators agree on the Allan level" (fun () ->
@@ -305,5 +392,6 @@ let () =
       ("kasdin", kasdin_tests);
       ("voss", voss_tests);
       ("spectral_synth", spectral_synth_tests);
+      ("equivalence", equivalence_tests);
       ("cross_generator", cross_generator_tests);
     ]
