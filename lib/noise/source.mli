@@ -64,8 +64,8 @@ val spectral :
     the next fill.  The first block synthesized evaluates the PSD per
     bin, so a one-block stream holds only its block.  The first
     resynthesis builds the amplitude spectrum ([block]/2 floats,
-    {!Spectral_synth.amplitudes}) and the synthesis scratch ([block]
-    floats of imaginary spectrum and one bin chunk's draws,
+    {!Spectral_synth.amplitudes}) and the synthesis scratch ([block]/2
+    + 1 floats of imaginary half-spectrum and one bin chunk's draws,
     {!Spectral_synth.scratch}); every later block is rebuilt from them
     in place ({!Spectral_synth.generate_into}), bit-identical to a
     fresh synthesis and allocating no float array.  Statistics probing

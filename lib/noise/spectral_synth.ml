@@ -50,14 +50,21 @@ let[@inline] amp_at amps ~inv_n n k =
   | Table t -> FA.unsafe_get t (k - 1)
 
 (* Working storage of an n-point synthesis besides the block: the
-   imaginary half of the spectrum, which the inverse transform
+   imaginary parts of bins 0 .. n/2, which the inverse transform
    overwrites, and one bin chunk's (a, b) draws. *)
 type scratch = { im : FA.t; draws : FA.t }
 
+let scratch_im n = (n / 2) + 1
+
 let scratch n =
+  if not (Ptrng_signal.Fft.is_pow2 n) then
+    invalid_arg "Spectral_synth.scratch: n must be a power of two";
   let nbins = max 0 ((n / 2) - 1) in
   (* At least one slot: the Nyquist draw goes through it too. *)
-  { im = FA.create n; draws = FA.create (max 1 (2 * min bin_chunk nbins)) }
+  {
+    im = FA.create (scratch_im n);
+    draws = FA.create (max 1 (2 * min bin_chunk nbins));
+  }
 
 (* The one synthesis routine: overwrites all of [re] (length n) with the
    block for [root], on the calling domain, using [im] and [draws] of
@@ -70,9 +77,8 @@ let synthesize ~root amps s re =
   Ptrng_telemetry.Registry.Counter.add samples_total n;
   let half = n / 2 and inv_n = 1.0 /. float_of_int n in
   let im = s.im and draws = s.draws in
-  (* The bin loop writes every im slot but the DC and Nyquist bins. *)
-  FA.set im 0 0.0;
-  FA.set im half 0.0;
+  (* The bin loop writes bins 1 .. n/2 - 1 of [re] and [im]; the DC and
+     Nyquist bins are real, so their [im] slots are never read. *)
   let nbins = half - 1 in
   let nchunks = (nbins + bin_chunk - 1) / bin_chunk in
   (* The DC bin stays zero; [re] may still hold an earlier block. *)
@@ -92,9 +98,7 @@ let synthesize ~root amps s re =
       let a = amp *. FA.unsafe_get draws j in
       let b = amp *. FA.unsafe_get draws (j + 1) in
       FA.set re k a;
-      FA.set im k b;
-      FA.set re (n - k) a;
-      FA.set im (n - k) (-.b)
+      FA.set im k b
     done
   done;
   (* The Nyquist bin is real; its draw comes from a dedicated child
@@ -105,10 +109,11 @@ let synthesize ~root amps s re =
     Ptrng_prng.Gaussian.fill_fa child ~sigma:1.0 draws ~pos:0 ~len:1;
     FA.set re half (amp_at amps ~inv_n n half *. FA.unsafe_get draws 0)
   end;
-  (* The inverse applies the 1/n scaling, so a forward transform of the
-     result returns exactly the spectrum built above; the imaginary
-     part (zero up to rounding) is dropped unscaled. *)
-  Ptrng_signal.Fft.inverse_pow2_real ~re ~im
+  (* Bins n/2 + 1 .. n - 1 are the conjugates of the ones built above:
+     the real inverse reads only bins 0 .. n/2 and applies the 1/n
+     scaling, so a forward transform of the result returns the
+     Hermitian spectrum to rounding. *)
+  Ptrng_signal.Fft.inverse_hermitian ~re ~im
 
 let generate_with_root ~root ~psd ~fs n =
   check ~fn:"Spectral_synth.generate" psd ~fs n;
@@ -123,7 +128,7 @@ let generate_into ~root ~amplitudes ~scratch re =
     invalid_arg "Spectral_synth.generate_into: length not a power of two";
   if FA.length amplitudes <> n / 2 then
     invalid_arg "Spectral_synth.generate_into: amplitudes length <> n/2";
-  if FA.length scratch.im <> n then
+  if FA.length scratch.im <> scratch_im n then
     invalid_arg "Spectral_synth.generate_into: scratch not built for n";
   synthesize ~root (Table amplitudes) scratch re
 

@@ -3,7 +3,12 @@
 
     A Hermitian spectrum with independent complex-Gaussian bins whose
     expected power matches the target density is inverse-transformed
-    into a real time series.  The output is a stationary Gaussian
+    into a real time series.  Only its half, bins 0 .. n/2, is built:
+    the bins above n/2 are their conjugates, and
+    {!Ptrng_signal.Fft.inverse_hermitian} turns the half-spectrum into
+    the n real samples with an n/2-point complex transform.  The result
+    agrees with the full spectrum's n-point inverse to rounding (within
+    1e-12 of the block rms, test_noise), not bit for bit.  The output is a stationary Gaussian
     process with (circulant) covariance matching the target PSD exactly
     at the FFT grid frequencies; statistics that probe lags beyond
     ~n/8 samples feel the periodicity, so callers should generate
@@ -45,9 +50,9 @@ val generate_with_root :
     any block of a stream is a pure function of its recorded root.
     The block is returned as the unboxed buffer the inverse FFT ran
     in; [generate rng] is exactly [generate_with_root ~root:(bits64
-    rng)] copied into a [float array].  The imaginary spectrum and the
-    draw buffer it works in are allocated per call and dropped, so the
-    caller holds only the block.  @raise Invalid_argument as
+    rng)] copied into a [float array].  The imaginary half-spectrum
+    (n/2 + 1 floats) and the draw buffer it works in are allocated per
+    call and dropped, so the caller holds only the block.  @raise Invalid_argument as
     {!generate}. *)
 
 val amplitudes : psd:Psd_model.frac_freq -> fs:float -> int -> Float.Array.t
@@ -60,12 +65,13 @@ val amplitudes : psd:Psd_model.frac_freq -> fs:float -> int -> Float.Array.t
 
 type scratch
 (** Working storage of an [n]-point synthesis besides the block itself:
-    the imaginary half of the spectrum ([n] floats) and one bin chunk's
-    draw buffer (at most 8192 floats). *)
+    the imaginary parts of bins 0 .. n/2 ([n]/2 + 1 floats) and one bin
+    chunk's draw buffer (at most 8192 floats). *)
 
 val scratch : int -> scratch
 (** [scratch n] allocates the working storage {!generate_into} reuses
-    for every [n]-point block. *)
+    for every [n]-point block.
+    @raise Invalid_argument if [n] is not a power of two. *)
 
 val generate_into :
   root:int64 ->

@@ -314,10 +314,90 @@ let inverse_scaled re im n =
   inverse_real re im n;
   scale im n
 
+(* Bins k and m - k of the split step (m = n/2, 0 < k < m/2), with
+   w = (c, s) = e^{2 pi i k/n}.  A real n-point signal x has even and
+   odd m-point spectra E_k = (X_k + conj X_{m-k}) / 2 and
+   O_k = w (X_k - conj X_{m-k}) / 2, so the m-point inverse of
+   Z_k = E_k + i O_k interleaves x: z_j = x_{2j} + i x_{2j+1}.  The
+   sums and differences are scaled by [inv] = 1/n, the inverse's 1/m
+   and the halves together; a power of two, so the scaling is exact. *)
+let[@inline] split_pair re im m inv k c s =
+  let q = m - k in
+  let ar = FA.unsafe_get re k and ai = FA.unsafe_get im k in
+  let br = FA.unsafe_get re q and bi = FA.unsafe_get im q in
+  let er = (ar +. br) *. inv and ei = (ai -. bi) *. inv in
+  let dr = (ar -. br) *. inv and di = (ai +. bi) *. inv in
+  let tr = (c *. di) +. (s *. dr) and ti = (c *. dr) -. (s *. di) in
+  FA.unsafe_set re k (er -. tr);
+  FA.unsafe_set im k (ei +. ti);
+  FA.unsafe_set re q (er +. tr);
+  FA.unsafe_set im q (ti -. ei)
+
+(* The split step over all m = n/2 points, in place.  The DC and
+   Nyquist bins are real and pair at k = 0; bin m/2 pairs with itself
+   (w = i), giving Z = 2 conj X exactly.  The twiddles e^{2 pi i k/n}
+   are the inverse transform's factors of span n: read from the table
+   up to [table_max], otherwise stepped and re-anchored as
+   [stage_direct] steps them. *)
+let split re im n =
+  let m = n / 2 and inv = 1.0 /. float_of_int n in
+  let x0 = FA.unsafe_get re 0 and xm = FA.unsafe_get re m in
+  FA.unsafe_set re 0 ((x0 +. xm) *. inv);
+  FA.unsafe_set im 0 ((x0 -. xm) *. inv);
+  if m >= 2 then begin
+    let h = m / 2 and inv2 = 2.0 *. inv in
+    FA.unsafe_set re h (FA.unsafe_get re h *. inv2);
+    FA.unsafe_set im h (-.(FA.unsafe_get im h *. inv2));
+    if n <= table_max then begin
+      let t = inverse_twiddles and base = 2 * (m - 1) in
+      for k = 1 to h - 1 do
+        let j = base + (2 * k) in
+        split_pair re im m inv k (FA.unsafe_get t j) (FA.unsafe_get t (j + 1))
+      done
+    end
+    else begin
+      let ang = 2.0 *. Float.pi /. float_of_int n in
+      let step_r = cos ang and step_i = sin ang in
+      let wr = ref 1.0 and wi = ref 0.0 in
+      for k = 0 to h - 1 do
+        if k land 63 = 0 then begin
+          let a = ang *. float_of_int k in
+          wr := cos a;
+          wi := sin a
+        end;
+        if k > 0 then split_pair re im m inv k !wr !wi;
+        let nwr = (!wr *. step_r) -. (!wi *. step_i) in
+        wi := (!wr *. step_i) +. (!wi *. step_r);
+        wr := nwr
+      done
+    end
+  end
+
+(* x_{2j} = Re z_j and x_{2j + 1} = Im z_j into [re], from the top
+   down: slots 2j and 2j + 1 hold no z_i still to be read. *)
+let interleave re im m =
+  for j = m - 1 downto 0 do
+    FA.unsafe_set re ((2 * j) + 1) (FA.unsafe_get im j);
+    FA.unsafe_set re (2 * j) (FA.unsafe_get re j)
+  done
+
 let count n =
   if !Tm.on then begin
     Tm.Counter.incr fft_total;
     Tm.Hist.observe fft_size (float_of_int n)
+  end
+
+let inverse_hermitian ~re ~im =
+  let n = FA.length re in
+  if not (is_pow2 n) then invalid_arg "Fft: length not a power of two";
+  if FA.length im <> (n / 2) + 1 then
+    invalid_arg "Fft.inverse_hermitian: im length <> n/2 + 1";
+  count n;
+  if n > 1 then begin
+    let m = n / 2 in
+    split re im n;
+    transform ~sign:1.0 re im m;
+    interleave re im m
   end
 
 let forward_pow2 ~re ~im =

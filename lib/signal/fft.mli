@@ -10,7 +10,9 @@
     stages of span up to 2^13 run one 2^13-point block at a time, with
     twiddle factors from read-only tables filled once per process
     (about 260 KB), bit-identical to the anchored recurrence the longer
-    stages run (docs/STREAMING.md).  Arbitrary lengths go through
+    stages run (docs/STREAMING.md).  A real signal given by the lower
+    half of its Hermitian spectrum is inverted with an n/2-point
+    transform ({!inverse_hermitian}).  Arbitrary lengths go through
     Bluestein's chirp-z algorithm.  Forward transforms are
     unscaled (X_k = sum_j x_j e^{-2 pi i jk/n}); inverse transforms
     divide by n, so [inverse (forward x) = x]. *)
@@ -39,6 +41,22 @@ val inverse_pow2_real : re:Float.Array.t -> im:Float.Array.t -> unit
     be real: [re] ends bit-identical to {!inverse_pow2}'s, and [im]
     holds the imaginary part unscaled (scratch).  Same preconditions
     as {!forward_pow2}. *)
+
+val inverse_hermitian : re:Float.Array.t -> im:Float.Array.t -> unit
+(** [inverse_hermitian ~re ~im] is the real n-point signal of a
+    Hermitian spectrum given by its bins X_0 .. X_{n/2} alone:
+    X_k = (re.(k), im.(k)), the bins above n/2 being the conjugates
+    X_{n-k} = conj X_k.  The DC and Nyquist bins of a real signal are
+    real, so [im.(0)] and [im.(n/2)] are not read.  [re] (length n, a
+    power of two) is overwritten with the signal, scaled by 1/n as
+    {!inverse_pow2} scales it, and [im] (length n/2 + 1) with scratch.
+    It runs an O(n) split step, pairing bins k and n/2 - k, then an
+    n/2-point complex inverse on the first halves of [re] and [im],
+    about half the work of {!inverse_pow2} on the full spectrum; the
+    result agrees with {!inverse_pow2}'s real part to rounding, not bit
+    for bit.  Allocates nothing.
+    @raise Invalid_argument if the length of [re] is not a power of two
+    or [im] does not hold n/2 + 1 floats. *)
 
 val dft : re:float array -> im:float array -> float array * float array
 (** [dft ~re ~im] is the forward transform for any length, returning

@@ -224,11 +224,20 @@ let spectral_synth_tests =
           (fun () ->
             Spectral_synth.generate_into ~root:1L ~amplitudes ~scratch
               (Float.Array.create 128));
-        Alcotest.check_raises "scratch for 128"
-          (Invalid_argument "Spectral_synth.generate_into: scratch not built for n")
-          (fun () ->
-            Spectral_synth.generate_into ~root:1L ~amplitudes
-              ~scratch:(Spectral_synth.scratch 128) (Float.Array.create 64)));
+        (* The scratch holds bins 0 .. n/2 (33 floats for n = 64): one
+           built for a longer or a shorter block is refused. *)
+        List.iter
+          (fun m ->
+            Alcotest.check_raises
+              (Printf.sprintf "scratch for %d" m)
+              (Invalid_argument "Spectral_synth.generate_into: scratch not built for n")
+              (fun () ->
+                Spectral_synth.generate_into ~root:1L ~amplitudes
+                  ~scratch:(Spectral_synth.scratch m) (Float.Array.create 64)))
+          [ 128; 32 ];
+        Alcotest.check_raises "scratch for 100"
+          (Invalid_argument "Spectral_synth.scratch: n must be a power of two")
+          (fun () -> ignore (Spectral_synth.scratch 100)));
     Testkit.case "generate_many gives distinct blocks" (fun () ->
         let blocks =
           Spectral_synth.generate_many (Testkit.rng ()) ~psd:(Testkit.psd ~h0:1.0 ()) ~fs:1.0

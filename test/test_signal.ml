@@ -281,6 +281,37 @@ let check_core ~real log2n =
   check_bits (name "inverse re") rre re;
   check_bits (name "inverse im") rim im
 
+(* [Fft.inverse_hermitian] on bins 0 .. n/2 of a seeded random
+   Hermitian spectrum against the real part of [Reference.inverse] on
+   the whole spectrum: every sample within 1e-12 of the signal's rms.
+   The slots it must not read (re above n/2, the imaginary parts of the
+   DC and Nyquist bins) hold NaN. *)
+let check_hermitian log2n =
+  let n = 1 lsl log2n and h = (1 lsl log2n) / 2 in
+  let rng = Testkit.rng ~seed:(Int64.of_int (2000 + log2n)) () in
+  let u () = Ptrng_prng.Rng.float rng -. 0.5 in
+  let fr = FA.make n 0.0 and fi = FA.make n 0.0 in
+  for k = 0 to h do
+    let a = u () and b = if k = 0 || k = h then 0.0 else u () in
+    FA.set fr k a;
+    FA.set fi k b;
+    if k > 0 && k < h then begin
+      FA.set fr (n - k) a;
+      FA.set fi (n - k) (-.b)
+    end
+  done;
+  let re = FA.init n (fun k -> if k <= h then FA.get fr k else nan) in
+  let im = FA.init (h + 1) (fun k -> if k = 0 || k = h then nan else FA.get fi k) in
+  Fft.inverse_hermitian ~re ~im;
+  Reference.inverse ~re:fr ~im:fi;
+  let rms = sqrt (FA.fold_left (fun s v -> s +. (v *. v)) 0.0 fr /. float_of_int n) in
+  FA.iteri
+    (fun i e ->
+      let g = FA.get re i in
+      if not (Float.abs (g -. e) <= 1e-12 *. rms) then
+        Alcotest.failf "2^%d: sample %d is %h, reference %h" log2n i g e)
+    fr
+
 let naive_reverse log2n i =
   let r = ref 0 in
   for b = 0 to log2n - 1 do
@@ -301,6 +332,19 @@ let core_tests =
         done);
     Testkit.case "pow2 core == reference, bit for bit, 2^22" (fun () ->
         check_core ~real:false 22);
+    (* 2^13 is the last split step with tabulated twiddles, 2^14 the
+       first on the anchored recurrence. *)
+    Testkit.case "inverse_hermitian == real part of the reference, 2^0 .. 2^20"
+      (fun () ->
+        for log2n = 0 to 20 do
+          check_hermitian log2n
+        done);
+    Testkit.case "inverse_hermitian rejects bad lengths" (fun () ->
+        Alcotest.check_raises "12 points" (Invalid_argument "Fft: length not a power of two")
+          (fun () -> Fft.inverse_hermitian ~re:(FA.make 12 0.0) ~im:(FA.make 7 0.0));
+        Alcotest.check_raises "im of n points"
+          (Invalid_argument "Fft.inverse_hermitian: im length <> n/2 + 1")
+          (fun () -> Fft.inverse_hermitian ~re:(FA.make 16 0.0) ~im:(FA.make 16 0.0)));
     Testkit.case "tiled bit reversal == naive index reversal" (fun () ->
         for log2n = 0 to 18 do
           let n = 1 lsl log2n in
