@@ -200,50 +200,73 @@ let config_json c =
       ("recovery_windows", Int c.recovery_windows);
     ]
 
+(* A configuration read back from a bundle is outside input.  Beyond
+   the field types, its floats must be finite, its integers at most
+   [max_field] in magnitude (so no cutoff arithmetic overflows), the
+   windows it sizes at most [max_window_floats] floats in all, and
+   [create] must accept it: that runs every check of the monitor and of
+   the detectors it builds, so a replay never fails building its
+   monitor. *)
+let max_field = 1 lsl 20
+
+let max_window_floats = 1 lsl 24
+
 let config_of_json j =
-  let open T.Json in
-  try
-    let geti k =
-      match member k j with Some (Int n) -> n | _ -> raise Exit
-    in
-    let getf k =
-      match Option.bind (member k j) to_float with
-      | Some f -> f
-      | None -> raise Exit
-    in
-    let ns =
-      match member "ns" j with
-      | Some (List l) ->
-        Array.of_list
-          (List.map (function Int n -> n | _ -> raise Exit) l)
-      | _ -> raise Exit
-    in
-    Some
-      {
-        f0 = getf "f0";
-        ns;
-        realizations = geti "realizations";
-        min_realizations = geti "min_realizations";
-        confidence = getf "confidence";
-        judge_n = geti "judge_n";
-        fit_stride = geti "fit_stride";
-        h_claim = getf "h_claim";
-        sp_alpha_exp = geti "sp_alpha_exp";
-        sp_window = geti "sp_window";
-        bit_window = geti "bit_window";
-        ais31_block = geti "ais31_block";
-        ais31_alpha_exp = geti "ais31_alpha_exp";
-        ewma_lambda = getf "ewma_lambda";
-        ewma_limit = getf "ewma_limit";
-        cusum_k = getf "cusum_k";
-        cusum_h = getf "cusum_h";
-        chart_sigma = getf "chart_sigma";
-        entropy_floor = getf "entropy_floor";
-        entropy_fail = getf "entropy_fail";
-        history = geti "history";
-        recovery_windows = geti "recovery_windows";
-      }
-  with Exit -> None
+  let parsed =
+    let open T.Json in
+    try
+      let int_field = function
+        | Int n when abs n <= max_field -> n
+        | _ -> raise Exit
+      in
+      let geti k =
+        match member k j with Some v -> int_field v | None -> raise Exit
+      in
+      let getf k =
+        match Option.bind (member k j) to_float with
+        | Some f when Float.is_finite f -> f
+        | _ -> raise Exit
+      in
+      let ns =
+        match member "ns" j with
+        | Some (List l) -> Array.of_list (List.map int_field l)
+        | _ -> raise Exit
+      in
+      Some
+        {
+          f0 = getf "f0";
+          ns;
+          realizations = geti "realizations";
+          min_realizations = geti "min_realizations";
+          confidence = getf "confidence";
+          judge_n = geti "judge_n";
+          fit_stride = geti "fit_stride";
+          h_claim = getf "h_claim";
+          sp_alpha_exp = geti "sp_alpha_exp";
+          sp_window = geti "sp_window";
+          bit_window = geti "bit_window";
+          ais31_block = geti "ais31_block";
+          ais31_alpha_exp = geti "ais31_alpha_exp";
+          ewma_lambda = getf "ewma_lambda";
+          ewma_limit = getf "ewma_limit";
+          cusum_k = getf "cusum_k";
+          cusum_h = getf "cusum_h";
+          chart_sigma = getf "chart_sigma";
+          entropy_floor = getf "entropy_floor";
+          entropy_fail = getf "entropy_fail";
+          history = geti "history";
+          recovery_windows = geti "recovery_windows";
+        }
+    with Exit -> None
+  in
+  match parsed with
+  | Some cfg
+    when (Array.length cfg.ns * cfg.realizations) + (4 * cfg.history)
+         <= max_window_floats -> (
+    match create cfg with
+    | (_ : t) -> parsed
+    | exception Invalid_argument _ -> None)
+  | _ -> None
 
 let attach_recorder t r =
   Mutex.protect t.lock (fun () ->

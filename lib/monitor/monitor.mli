@@ -78,7 +78,10 @@ val config_json : config -> Ptrng_telemetry.Json.t
 
 val config_of_json : Ptrng_telemetry.Json.t -> config option
 (** Inverse of {!config_json}; [None] on any missing or mistyped
-    field. *)
+    field, a non-finite float, an integer beyond 2^20 in magnitude,
+    windows of more than 2^24 floats in all, or a configuration that
+    {!create} would reject.  A configuration it returns builds a
+    monitor. *)
 
 val attach_recorder : t -> Flight_recorder.t -> unit
 (** Attach a black-box {!Flight_recorder}: every subsequent jitter

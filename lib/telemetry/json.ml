@@ -144,9 +144,14 @@ let parse_string c =
         advance c;
         if c.pos + 4 > String.length c.src then fail c "truncated \\u escape";
         let hex = String.sub c.src c.pos 4 in
-        let code =
-          try int_of_string ("0x" ^ hex) with _ -> fail c "bad \\u escape"
+        (* Four hex digits exactly: int_of_string alone would also take
+           OCaml's digit separators ("1_2_"). *)
+        let is_hex = function
+          | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+          | _ -> false
         in
+        if not (String.for_all is_hex hex) then fail c "bad \\u escape";
+        let code = int_of_string ("0x" ^ hex) in
         c.pos <- c.pos + 4;
         (* Telemetry output only escapes control characters; emit the
            code point as Latin-1 when it fits, '?' otherwise. *)
@@ -161,6 +166,37 @@ let parse_string c =
   in
   loop ();
   Buffer.contents b
+
+(* RFC 8259's number grammar: an optional minus, then 0 or a digit run
+   without a leading zero, then optionally a point and at least one
+   digit, then optionally e or E, an optional sign and at least one
+   digit.  OCaml's own readers are laxer ("+1", "01", "1.", ".5"). *)
+let json_number s =
+  let n = String.length s in
+  let digits i =
+    let j = ref i in
+    while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do
+      incr j
+    done;
+    !j
+  in
+  let i = if n > 0 && s.[0] = '-' then 1 else 0 in
+  let int_end = if i < n && s.[i] = '0' then i + 1 else digits i in
+  let frac_end =
+    if int_end > i && int_end < n && s.[int_end] = '.' then
+      let j = digits (int_end + 1) in
+      if j > int_end + 1 then j else -1
+    else int_end
+  in
+  let exp_end =
+    if frac_end > i && frac_end < n && (s.[frac_end] = 'e' || s.[frac_end] = 'E') then
+      let k = frac_end + 1 in
+      let k = if k < n && (s.[k] = '+' || s.[k] = '-') then k + 1 else k in
+      let j = digits k in
+      if j > k then j else -1
+    else frac_end
+  in
+  int_end > i && exp_end = n
 
 let parse_number c =
   let start = c.pos in
@@ -177,6 +213,7 @@ let parse_number c =
   in
   run ();
   let s = String.sub c.src start (c.pos - start) in
+  if not (json_number s) then fail c (Printf.sprintf "bad number %S" s);
   match int_of_string_opt s with
   | Some i -> Int i
   | None -> (

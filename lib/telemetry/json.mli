@@ -30,7 +30,9 @@ val to_string_pretty : t -> string
 
 val of_string : string -> t
 (** Strict parser for the subset this module emits (no exponents in
-    keys, no comments, UTF-8 passed through).  A number beyond the
-    float range (["1e999"]) is malformed: JSON has no infinity, and
-    {!to_string} would print it as [null].
+    keys, no comments, UTF-8 passed through).  Numbers follow RFC
+    8259's grammar, so ["+1"], ["01"], ["1."], [".5"] and ["1.e5"] are
+    malformed, and a [\u] escape takes exactly four hex digits.  A
+    number beyond the float range (["1e999"]) is malformed too: JSON
+    has no infinity, and {!to_string} would print it as [null].
     @raise Failure on malformed input. *)

@@ -1062,6 +1062,123 @@ let http_tests =
               (Testkit.contains ~needle:"HTTP/1.1 200 OK" after)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Monitor.config_of_json on mutated configurations                    *)
+(* ------------------------------------------------------------------ *)
+
+(* One mutation of one field of a valid configuration's JSON: dropped,
+   retyped, set to zero, negated, made non-finite or huge; [ns] can
+   also be emptied or have one entry mutated. *)
+let mutate_field rng (key, v) =
+  let open Tm.Json in
+  let pick l = List.nth l (Ptrng_prng.Rng.int_below rng (List.length l)) in
+  let scalar v =
+    pick
+      [
+        String "x"; Bool true; Null; List []; Obj []; Int 0; Float 0.0;
+        Float nan; Float infinity; Float neg_infinity; Int max_int; Int min_int;
+        Float 1e300; Float 1e-300; Float 0.5; Int 1; Int 2; Int (1 lsl 20);
+        (match v with
+        | Int n -> Int (-n)
+        | Float f -> Float (-.f)
+        | v -> v);
+        (match v with
+        | Int n -> Float (float_of_int n)
+        | Float f -> Int (int_of_float f)
+        | v -> v);
+      ]
+  in
+  match v with
+  | List items when Ptrng_prng.Rng.bool rng ->
+    if items = [] || Ptrng_prng.Rng.bool rng then Some (key, List [])
+    else
+      let i = Ptrng_prng.Rng.int_below rng (List.length items) in
+      Some (key, List (List.mapi (fun j x -> if j = i then scalar x else x) items))
+  | _ -> if Ptrng_prng.Rng.int_below rng 8 = 0 then None else Some (key, scalar v)
+
+(* A valid configuration (the default or the test one) with one to four
+   fields mutated, from a seed. *)
+let mutated_config_gen =
+  QCheck2.Gen.map
+    (fun seed ->
+      let rng = Ptrng_prng.Rng.create ~seed:(Int64.of_int seed) () in
+      let base =
+        if Ptrng_prng.Rng.bool rng then M.Monitor.default_config ~f0:paper_f0
+        else test_config ()
+      in
+      match M.Monitor.config_json base with
+      | Tm.Json.Obj fields ->
+        let fields = Array.of_list fields in
+        let mutated = Array.map Option.some fields in
+        for _ = 1 to 1 + Ptrng_prng.Rng.int_below rng 4 do
+          let i = Ptrng_prng.Rng.int_below rng (Array.length fields) in
+          mutated.(i) <- mutate_field rng fields.(i)
+        done;
+        Tm.Json.Obj (List.filter_map Fun.id (Array.to_list mutated))
+      | j -> j)
+    QCheck2.Gen.int
+
+let config_fuzz_tests =
+  [
+    Testkit.qcheck ~count:2000
+      "config_of_json: None, or a config Monitor.create accepts" mutated_config_gen
+      (fun j ->
+        match M.Monitor.config_of_json j with
+        | None -> true
+        | Some cfg -> (
+          match M.Monitor.create cfg with
+          | (_ : M.Monitor.t) -> true
+          | exception e ->
+            QCheck2.Test.fail_reportf "%s accepted, then create raised %s"
+              (Tm.Json.to_string j) (Printexc.to_string e)));
+    (* Every field of the test configuration set in turn to each
+       boundary value, ns to each list. *)
+    Testkit.case "config_of_json: field-by-field boundary sweep" (fun () ->
+        let open Tm.Json in
+        let fields =
+          match M.Monitor.config_json (test_config ()) with
+          | Obj f -> f
+          | _ -> assert false
+        in
+        let values =
+          [
+            Int 0; Int 1; Int 2; Int (-1); Int 63; Int 64; Int (1 lsl 20);
+            Int ((1 lsl 20) + 1); Int (-(1 lsl 20)); Float 0.0; Float (-0.0);
+            Float 1e-300; Float 0.5; Float 1.0; Float 1.5; Float 1e300;
+            List []; List [ Int 0 ]; List [ Int 8; Int 4 ]; List [ Int 4; Int 4 ];
+            List [ Int (1 lsl 20) ];
+          ]
+        in
+        let accepted = ref 0 in
+        List.iter
+          (fun (key, _) ->
+            List.iter
+              (fun v ->
+                let j =
+                  Obj (List.map (fun (k, x) -> (k, if k = key then v else x)) fields)
+                in
+                match M.Monitor.config_of_json j with
+                | None -> ()
+                | Some cfg -> (
+                  incr accepted;
+                  match M.Monitor.create cfg with
+                  | (_ : M.Monitor.t) -> ()
+                  | exception e ->
+                    Alcotest.failf "%s = %s accepted, then create raised %s" key
+                      (to_string v) (Printexc.to_string e)))
+              values)
+          fields;
+        Testkit.check_true
+          (Printf.sprintf "%d boundary configurations accepted" !accepted)
+          (!accepted > 0));
+    Testkit.case "config_of_json round-trips the valid configurations" (fun () ->
+        List.iter
+          (fun cfg ->
+            Testkit.check_true "round trip"
+              (M.Monitor.config_of_json (M.Monitor.config_json cfg) = Some cfg))
+          [ M.Monitor.default_config ~f0:paper_f0; test_config () ]);
+  ]
+
 let () =
   Alcotest.run "ptrng_monitor"
     [
@@ -1071,6 +1188,7 @@ let () =
       ("verdict", verdict_tests);
       ("monitor", monitor_tests);
       ("flight_recorder", recorder_tests);
+      ("config_fuzz", config_fuzz_tests);
       ("equivalence", equivalence_tests);
       ("allocation", allocation_tests);
       ("http", http_tests);

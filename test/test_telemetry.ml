@@ -236,6 +236,35 @@ let json_props =
             | v -> Alcotest.failf "%S parsed as %s" s (Json.to_string v)
             | exception Failure _ -> ())
           [ "1e999"; "-1e999"; "[1,1e400]"; "{\"a\":-1e309}" ]);
+    (* OCaml's int_of_string and float_of_string accept all of these;
+       RFC 8259 accepts none. *)
+    Testkit.case "numbers and \\u escapes outside the JSON grammar are rejected"
+      (fun () ->
+        List.iter
+          (fun s ->
+            match Json.of_string s with
+            | v -> Alcotest.failf "%S parsed as %s" s (Json.to_string v)
+            | exception Failure _ -> ())
+          [
+            "+1"; "01"; "-01"; "1."; ".5"; "-.5"; "1.e5"; "1e"; "1e+"; "-"; "--1";
+            "[+1]"; "{\"a\":01}"; "\"\\u1_2_\""; "\"\\u+123\""; "\"\\u 123\"";
+          ]);
+    Testkit.case "JSON-grammar numbers parse" (fun () ->
+        List.iter
+          (fun (s, want) ->
+            let got = Json.of_string s in
+            if got <> want then
+              Alcotest.failf "%S parsed as %s" s (Json.to_string got))
+          [
+            ("-0", Json.Int 0);
+            ("0", Json.Int 0);
+            ("1e5", Json.Float 1e5);
+            ("1E+5", Json.Float 1e5);
+            ("-1.5e-3", Json.Float (-1.5e-3));
+            ("0.25", Json.Float 0.25);
+            ("10", Json.Int 10);
+            ("\"\\u00e9\\u004A\"", Json.String "\xe9J");
+          ]);
   ]
 
 let prometheus_golden =
