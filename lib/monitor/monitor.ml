@@ -120,7 +120,43 @@ let s_ewma = T.Series.v ~help:"EWMA statistic trajectory" "ptrng_monitor_ewma"
 let s_cusum = T.Series.v ~help:"Upper CUSUM trajectory" "ptrng_monitor_cusum_pos"
 let s_entropy = T.Series.v ~help:"Windowed min-entropy trajectory" "ptrng_monitor_min_entropy"
 
+(* Limits every configuration keeps, so each one that builds a monitor
+   also round-trips through [config_json] and [config_of_json]: floats
+   finite (JSON holds no others), integers at most [max_field] in
+   magnitude (the detectors size windows and compute cutoffs from them,
+   and a bundle is outside input), and the windows at most
+   [max_window_floats] floats in all. *)
+let max_field = 1 lsl 20
+
+let max_window_floats = 1 lsl 24
+
+let check_limits cfg =
+  let int_ok n = n >= -max_field && n <= max_field in
+  if
+    not
+      (Array.for_all int_ok cfg.ns
+      && List.for_all int_ok
+           [
+             cfg.realizations; cfg.min_realizations; cfg.judge_n;
+             cfg.fit_stride; cfg.sp_alpha_exp; cfg.sp_window; cfg.bit_window;
+             cfg.ais31_block; cfg.ais31_alpha_exp; cfg.history;
+             cfg.recovery_windows;
+           ])
+  then invalid_arg "Monitor.create: integer field beyond 2^20 in magnitude";
+  if
+    not
+      (List.for_all Float.is_finite
+         [
+           cfg.f0; cfg.confidence; cfg.h_claim; cfg.ewma_lambda; cfg.ewma_limit;
+           cfg.cusum_k; cfg.cusum_h; cfg.chart_sigma; cfg.entropy_floor;
+           cfg.entropy_fail;
+         ])
+  then invalid_arg "Monitor.create: non-finite float field";
+  if (Array.length cfg.ns * cfg.realizations) + (4 * cfg.history) > max_window_floats
+  then invalid_arg "Monitor.create: windows above 2^24 floats"
+
 let create cfg =
+  check_limits cfg;
   if cfg.judge_n < 1 then invalid_arg "Monitor.create: judge_n < 1";
   if not (cfg.confidence > 0.0 && cfg.confidence < 1.0) then
     invalid_arg "Monitor.create: confidence outside (0, 1)";
@@ -200,32 +236,22 @@ let config_json c =
       ("recovery_windows", Int c.recovery_windows);
     ]
 
-(* A configuration read back from a bundle is outside input.  Beyond
-   the field types, its floats must be finite, its integers at most
-   [max_field] in magnitude (so no cutoff arithmetic overflows), the
-   windows it sizes at most [max_window_floats] floats in all, and
-   [create] must accept it: that runs every check of the monitor and of
-   the detectors it builds, so a replay never fails building its
-   monitor. *)
-let max_field = 1 lsl 20
-
-let max_window_floats = 1 lsl 24
-
+(* A configuration read back from a bundle is outside input: beyond the
+   field types, [create] must accept it.  That runs the limits above and
+   every check of the monitor and of the detectors it builds, so a
+   replay never fails building its monitor. *)
 let config_of_json j =
   let parsed =
     let open T.Json in
     try
-      let int_field = function
-        | Int n when abs n <= max_field -> n
-        | _ -> raise Exit
-      in
+      let int_field = function Int n -> n | _ -> raise Exit in
       let geti k =
         match member k j with Some v -> int_field v | None -> raise Exit
       in
       let getf k =
         match Option.bind (member k j) to_float with
-        | Some f when Float.is_finite f -> f
-        | _ -> raise Exit
+        | Some f -> f
+        | None -> raise Exit
       in
       let ns =
         match member "ns" j with
@@ -259,14 +285,9 @@ let config_of_json j =
         }
     with Exit -> None
   in
-  match parsed with
-  | Some cfg
-    when (Array.length cfg.ns * cfg.realizations) + (4 * cfg.history)
-         <= max_window_floats -> (
-    match create cfg with
-    | (_ : t) -> parsed
-    | exception Invalid_argument _ -> None)
-  | _ -> None
+  match Option.map create parsed with
+  | Some (_ : t) -> parsed
+  | None | (exception Invalid_argument _) -> None
 
 let attach_recorder t r =
   Mutex.protect t.lock (fun () ->

@@ -69,7 +69,9 @@ val create : config -> t
 (** Fresh observatory.
     @raise Invalid_argument on inconsistent configuration (empty or
     non-increasing grid, thresholds outside their ranges, windows too
-    small). *)
+    small), a non-finite float, an integer beyond 2^20 in magnitude, or
+    windows of more than 2^24 floats in all.  Every configuration it
+    accepts round-trips through {!config_json} and {!config_of_json}. *)
 
 val config_json : config -> Ptrng_telemetry.Json.t
 (** The configuration as a flat JSON object ([ns] as an int list) —
@@ -77,11 +79,10 @@ val config_json : config -> Ptrng_telemetry.Json.t
     replay rebuilds an identically tuned monitor. *)
 
 val config_of_json : Ptrng_telemetry.Json.t -> config option
-(** Inverse of {!config_json}; [None] on any missing or mistyped
-    field, a non-finite float, an integer beyond 2^20 in magnitude,
-    windows of more than 2^24 floats in all, or a configuration that
-    {!create} would reject.  A configuration it returns builds a
-    monitor. *)
+(** Inverse of {!config_json} on every configuration {!create}
+    accepts; [None] on any missing or mistyped field, or a
+    configuration that {!create} would reject.  A configuration it
+    returns builds a monitor. *)
 
 val attach_recorder : t -> Flight_recorder.t -> unit
 (** Attach a black-box {!Flight_recorder}: every subsequent jitter

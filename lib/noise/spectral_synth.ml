@@ -57,8 +57,6 @@ type scratch = { im : FA.t; draws : FA.t }
 let scratch_im n = (n / 2) + 1
 
 let scratch n =
-  if not (Ptrng_signal.Fft.is_pow2 n) then
-    invalid_arg "Spectral_synth.scratch: n must be a power of two";
   let nbins = max 0 ((n / 2) - 1) in
   (* At least one slot: the Nyquist draw goes through it too. *)
   {

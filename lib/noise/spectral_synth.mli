@@ -70,8 +70,7 @@ type scratch
 
 val scratch : int -> scratch
 (** [scratch n] allocates the working storage {!generate_into} reuses
-    for every [n]-point block.
-    @raise Invalid_argument if [n] is not a power of two. *)
+    for every [n]-point block. *)
 
 val generate_into :
   root:int64 ->

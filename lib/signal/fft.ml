@@ -336,9 +336,7 @@ let[@inline] split_pair re im m inv k c s =
 (* The split step over all m = n/2 points, in place.  The DC and
    Nyquist bins are real and pair at k = 0; bin m/2 pairs with itself
    (w = i), giving Z = 2 conj X exactly.  The twiddles e^{2 pi i k/n}
-   are the inverse transform's factors of span n: read from the table
-   up to [table_max], otherwise stepped and re-anchored as
-   [stage_direct] steps them. *)
+   are stepped and re-anchored as [stage_direct] steps them. *)
 let split re im n =
   let m = n / 2 and inv = 1.0 /. float_of_int n in
   let x0 = FA.unsafe_get re 0 and xm = FA.unsafe_get re m in
@@ -348,29 +346,20 @@ let split re im n =
     let h = m / 2 and inv2 = 2.0 *. inv in
     FA.unsafe_set re h (FA.unsafe_get re h *. inv2);
     FA.unsafe_set im h (-.(FA.unsafe_get im h *. inv2));
-    if n <= table_max then begin
-      let t = inverse_twiddles and base = 2 * (m - 1) in
-      for k = 1 to h - 1 do
-        let j = base + (2 * k) in
-        split_pair re im m inv k (FA.unsafe_get t j) (FA.unsafe_get t (j + 1))
-      done
-    end
-    else begin
-      let ang = 2.0 *. Float.pi /. float_of_int n in
-      let step_r = cos ang and step_i = sin ang in
-      let wr = ref 1.0 and wi = ref 0.0 in
-      for k = 0 to h - 1 do
-        if k land 63 = 0 then begin
-          let a = ang *. float_of_int k in
-          wr := cos a;
-          wi := sin a
-        end;
-        if k > 0 then split_pair re im m inv k !wr !wi;
-        let nwr = (!wr *. step_r) -. (!wi *. step_i) in
-        wi := (!wr *. step_i) +. (!wi *. step_r);
-        wr := nwr
-      done
-    end
+    let ang = 2.0 *. Float.pi /. float_of_int n in
+    let step_r = cos ang and step_i = sin ang in
+    let wr = ref 1.0 and wi = ref 0.0 in
+    for k = 0 to h - 1 do
+      if k land 63 = 0 then begin
+        let a = ang *. float_of_int k in
+        wr := cos a;
+        wi := sin a
+      end;
+      if k > 0 then split_pair re im m inv k !wr !wi;
+      let nwr = (!wr *. step_r) -. (!wi *. step_i) in
+      wi := (!wr *. step_i) +. (!wi *. step_r);
+      wr := nwr
+    done
   end
 
 (* x_{2j} = Re z_j and x_{2j + 1} = Im z_j into [re], from the top

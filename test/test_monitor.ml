@@ -1118,8 +1118,66 @@ let mutated_config_gen =
       | j -> j)
     QCheck2.Gen.int
 
+(* A valid configuration with one to four fields set in the record
+   itself, not through JSON, to values that straddle [Monitor.create]'s
+   limits: integers up to max_int, floats up to the non-finite ones. *)
+let mutated_record_gen =
+  QCheck2.Gen.map
+    (fun seed ->
+      let rng = Ptrng_prng.Rng.create ~seed:(Int64.of_int seed) () in
+      let pick l = List.nth l (Ptrng_prng.Rng.int_below rng (List.length l)) in
+      let i () =
+        pick [ 0; 1; 2; 8; 64; 8192; 1 lsl 20; (1 lsl 20) + 1; 1 lsl 21; max_int; -1; min_int ]
+      in
+      let f () = pick [ 0.0; 0.5; 0.997; 1.0; 1.5; 2.0; 1e300; 1e-300; -1.0; nan; infinity ] in
+      let set (c : M.Monitor.config) = function
+        | 0 -> { c with f0 = f () }
+        | 1 -> { c with ns = pick [ [||]; [| 4; 8 |]; [| 8; 1 lsl 20 |]; [| 16; 1 lsl 21 |] ] }
+        | 2 -> { c with realizations = i () }
+        | 3 -> { c with min_realizations = i () }
+        | 4 -> { c with confidence = f () }
+        | 5 -> { c with judge_n = i () }
+        | 6 -> { c with fit_stride = i () }
+        | 7 -> { c with h_claim = f () }
+        | 8 -> { c with sp_alpha_exp = i () }
+        | 9 -> { c with sp_window = i () }
+        | 10 -> { c with bit_window = i () }
+        | 11 -> { c with ais31_block = i () }
+        | 12 -> { c with ais31_alpha_exp = i () }
+        | 13 -> { c with ewma_lambda = f () }
+        | 14 -> { c with ewma_limit = f () }
+        | 15 -> { c with cusum_k = f () }
+        | 16 -> { c with cusum_h = f () }
+        | 17 -> { c with chart_sigma = f () }
+        | 18 -> { c with entropy_floor = f () }
+        | 19 -> { c with entropy_fail = f () }
+        | 20 -> { c with history = i () }
+        | _ -> { c with recovery_windows = i () }
+      in
+      let c =
+        ref
+          (if Ptrng_prng.Rng.bool rng then M.Monitor.default_config ~f0:paper_f0
+           else test_config ())
+      in
+      for _ = 1 to 1 + Ptrng_prng.Rng.int_below rng 4 do
+        c := set !c (Ptrng_prng.Rng.int_below rng 22)
+      done;
+      !c)
+    QCheck2.Gen.int
+
 let config_fuzz_tests =
   [
+    Testkit.qcheck ~count:2000
+      "every configuration Monitor.create accepts round-trips through JSON text"
+      mutated_record_gen (fun cfg ->
+        match M.Monitor.create cfg with
+        | exception Invalid_argument _ -> true
+        | (_ : M.Monitor.t) ->
+          let j = M.Monitor.config_json cfg in
+          M.Monitor.config_of_json (Tm.Json.of_string (Tm.Json.to_string j))
+          = Some cfg
+          || QCheck2.Test.fail_reportf "create accepted %s, config_of_json did not"
+               (Tm.Json.to_string j));
     Testkit.qcheck ~count:2000
       "config_of_json: None, or a config Monitor.create accepts" mutated_config_gen
       (fun j ->
